@@ -37,6 +37,11 @@ timeout 60 cargo test -q --offline -p parsched-pscd --test resilience
 echo "==> tier-1: cargo test -q (10-minute hang guard)"
 timeout 600 cargo test -q --offline
 
+echo "==> benchmark tests (perfbench is its own package; 10-minute hang guard)"
+# The workspace build never sees perfbench, so its tests — among them the
+# layer_map.json <-> BENCHMARK.json coverage check — run here explicitly.
+timeout 600 cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> doc tests"
 timeout 300 cargo test -q --doc --offline --workspace
 

@@ -94,6 +94,12 @@ pub use pipeline::{
     AllocScope, CompileResult, CompileStats, Pipeline, PipelineError, Strategy, StrategyParseError,
 };
 
+// Compiles the tutorial's Rust snippets as doctests, so they cannot drift
+// from the API.
+#[cfg(doctest)]
+#[doc = include_str!("../../../docs/TUTORIAL.md")]
+pub struct TutorialDoctests;
+
 pub use parsched_exact as exact;
 pub use parsched_graph as graph;
 pub use parsched_ir as ir;

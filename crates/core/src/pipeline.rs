@@ -4,7 +4,7 @@
 use crate::budget::Budget;
 use crate::driver::DegradationLevel;
 use parsched_exact::{ExactConfig, ExactError};
-use parsched_graph::ClosureMode;
+use parsched_graph::{ClosureMode, Reachability};
 use parsched_ir::{BlockId, Function};
 use parsched_machine::MachineDesc;
 use parsched_regalloc::allocator::{allocate_single_block_in, AllocError, BlockStrategy};
@@ -12,8 +12,8 @@ use parsched_regalloc::global::{
     allocate_global_scoped, GlobalAllocError, GlobalScope, GlobalStrategy,
 };
 use parsched_regalloc::{AllocSession, BudgetExceeded, PinterConfig};
-use parsched_sched::falsedep::count_false_deps_until;
-use parsched_sched::{list_schedule, SchedError};
+use parsched_sched::falsedep::{count_false_deps_in, count_false_edges};
+use parsched_sched::{list_schedule, DepGraph, SchedError};
 use parsched_telemetry::Telemetry;
 use std::error::Error;
 use std::fmt;
@@ -437,21 +437,35 @@ impl Pipeline {
         };
         // Allocation can map a copy's source and destination to one
         // register; drop the resulting identity copies before scheduling.
-        parsched_regalloc::assignment::remove_identity_copies(&mut allocated);
+        let removed = parsched_regalloc::assignment::remove_identity_copies(&mut allocated);
 
         // Count false dependences intrinsically: each allocated block is
         // renamed apart to recover its symbolic form, and the block's own
         // register output dependences are tested against the resulting Ef.
         // The count is statistics-only, so budget pressure skips it (per
         // block) instead of failing the compilation: it builds a transitive
-        // closure, the most expensive phase on pathological blocks.
-        stats.introduced_false_deps = self.count_false_deps(&allocated, &limits, telemetry);
+        // closure, the most expensive phase on pathological blocks. The
+        // dependence graphs of the allocated blocks it builds are the ones
+        // the final schedule runs on.
+        //
+        // The combined block allocator's session still holds the closure of
+        // the symbolic block it just colored, and renaming the (checked)
+        // allocation apart recovers that block up to register names — so
+        // unless an identity copy was just dropped, that closure stands in
+        // for the rename and rebuild.
+        let symbolic = (removed == 0
+            && matches!(strategy, Strategy::Combined(_))
+            && !self.uses_webs(&pre_scheduled))
+        .then(|| session.sched().reachability());
+        let (false_deps, mut block_deps) =
+            self.count_false_deps(&allocated, symbolic, &limits, telemetry);
+        stats.introduced_false_deps = false_deps;
 
         // Final scheduling of the allocated code.
         limits.check_deadline("pipeline.final_schedule")?;
         let (final_fn, block_cycles) = {
             let _span = parsched_telemetry::span(telemetry, "pipeline.final_schedule");
-            self.schedule_blocks_measured(&allocated, telemetry)?
+            self.schedule_blocks_with(&allocated, &mut block_deps, telemetry)?
         };
         stats.cycles = block_cycles.iter().sum();
         stats.inst_count = final_fn.inst_count();
@@ -503,7 +517,9 @@ impl Pipeline {
             cycles: sol.cycles(),
             inst_count: sol.function.inst_count(),
         };
-        stats.introduced_false_deps = self.count_false_deps(&sol.function, limits, telemetry);
+        stats.introduced_false_deps = self
+            .count_false_deps(&sol.function, None, limits, telemetry)
+            .0;
         emit_stats(&stats, telemetry);
         Ok(CompileResult {
             function: sol.function,
@@ -519,30 +535,48 @@ impl Pipeline {
     /// The count is statistics-only, so budget pressure skips it (per
     /// block) instead of failing the compilation: it builds a transitive
     /// closure, the most expensive phase on pathological blocks.
+    ///
+    /// `symbolic`, when given, is the closure of the symbolic form of a
+    /// single-block `allocated`, and replaces the rename and rebuild.
+    ///
+    /// Also returns the dependence graph of each allocated block, built
+    /// once here for the count and for the final schedule (`None` where the
+    /// count skipped the block before its graph was complete).
     fn count_false_deps(
         &self,
         allocated: &Function,
+        symbolic: Option<&Reachability>,
         limits: &parsched_regalloc::AllocLimits,
         telemetry: &dyn Telemetry,
-    ) -> usize {
+    ) -> (usize, Vec<Option<DepGraph>>) {
         let _span = parsched_telemetry::span(telemetry, "pipeline.false_dep_count");
         let cap = limits.max_block_insts.unwrap_or(usize::MAX);
-        (0..allocated.block_count())
-            .map(|b| {
-                let block = allocated.block(BlockId(b));
-                let counted = if block.insts().len() > cap {
-                    None
-                } else {
-                    count_false_deps_until(block, &self.machine, limits.deadline)
-                };
-                counted.unwrap_or_else(|| {
+        let mut total = 0;
+        let mut graphs = Vec::with_capacity(allocated.block_count());
+        for b in 0..allocated.block_count() {
+            let block = allocated.block(BlockId(b));
+            let deps = if block.insts().len() > cap {
+                None
+            } else {
+                DepGraph::build_until(block, telemetry, limits.deadline)
+            };
+            let counted = deps.as_ref().and_then(|deps| match symbolic {
+                Some(reach) if reach.len() == deps.len() => {
+                    count_false_edges(deps, reach, &self.machine, limits.deadline, telemetry)
+                }
+                _ => count_false_deps_in(block, deps, &self.machine, limits.deadline, telemetry),
+            });
+            match counted {
+                Some(n) => total += n,
+                None => {
                     if telemetry.enabled() {
                         telemetry.event("pipeline.false_dep_count.skipped", block.label());
                     }
-                    0
-                })
-            })
-            .sum()
+                }
+            }
+            graphs.push(deps);
+        }
+        (total, graphs)
     }
 
     /// Schedules every block of the final code and reports per-block
@@ -558,6 +592,18 @@ impl Pipeline {
         func: &Function,
         telemetry: &dyn Telemetry,
     ) -> Result<(Function, Vec<u32>), SchedError> {
+        self.schedule_blocks_with(func, &mut [], telemetry)
+    }
+
+    /// [`Pipeline::schedule_blocks_measured`] reusing prebuilt dependence
+    /// graphs: `prebuilt[b]`, when present, must be the graph of block `b`
+    /// of `func`; missing entries are built here.
+    fn schedule_blocks_with(
+        &self,
+        func: &Function,
+        prebuilt: &mut [Option<DepGraph>],
+        telemetry: &dyn Telemetry,
+    ) -> Result<(Function, Vec<u32>), SchedError> {
         let mut out = func.clone();
         let mut cycles = Vec::with_capacity(func.block_count());
         for b in 0..func.block_count() {
@@ -566,7 +612,10 @@ impl Pipeline {
             if telemetry.enabled() {
                 telemetry.event("sched.block", block.label());
             }
-            let deps = parsched_sched::DepGraph::build(block, telemetry);
+            let deps = match prebuilt.get_mut(b).and_then(Option::take) {
+                Some(deps) => deps,
+                None => DepGraph::build(block, telemetry),
+            };
             let schedule = list_schedule(
                 block,
                 &deps,
@@ -581,9 +630,21 @@ impl Pipeline {
                 );
             }
             cycles.push(schedule.completion_cycles());
+            let _span = parsched_telemetry::span(telemetry, "sched.linearize");
             *out.block_mut(BlockId(b)) = schedule.linearize(block);
         }
         Ok((out, cycles))
+    }
+
+    /// Whether `func` goes to the web-based global allocator. Auto keeps
+    /// single-block functions on the block-level allocators; --global
+    /// forces the web path everywhere, --per-block only changes multi-block
+    /// behavior (a single block has no cross-block webs).
+    fn uses_webs(&self, func: &Function) -> bool {
+        match self.scope {
+            AllocScope::Global => true,
+            AllocScope::Auto | AllocScope::PerBlock => func.block_count() > 1,
+        }
     }
 
     fn allocate(
@@ -596,14 +657,7 @@ impl Pipeline {
     ) -> Result<(Function, CompileStats), PipelineError> {
         let mut stats = CompileStats::default();
         session.set_closure_mode(self.closure);
-        // Auto keeps single-block functions on the block-level allocators;
-        // --global forces the web path everywhere, --per-block only changes
-        // multi-block behavior (a single block has no cross-block webs).
-        let use_webs = match self.scope {
-            AllocScope::Global => true,
-            AllocScope::Auto | AllocScope::PerBlock => func.block_count() > 1,
-        };
-        let allocated = if !use_webs {
+        let allocated = if !self.uses_webs(func) {
             let s = match strategy {
                 Strategy::AllocThenSched | Strategy::SchedThenAlloc => BlockStrategy::Chaitin,
                 Strategy::LinearScanThenSched => BlockStrategy::LinearScan,
@@ -872,5 +926,82 @@ mod tests {
         assert_eq!(Strategy::AllocThenSched.label(), "alloc-then-sched");
         assert_eq!(Strategy::SchedThenAlloc.label(), "sched-then-alloc");
         assert_eq!(Strategy::combined().label(), "combined");
+    }
+
+    /// The combined allocator's session closure gives the same
+    /// false-dependence count as the rename-apart rebuild it replaces, on
+    /// every block it is used for (no identity copy dropped).
+    #[test]
+    fn session_closure_count_matches_rename_apart() -> Result<(), PipelineError> {
+        use parsched_workload::{random_dag_function, DagParams};
+        let quiet = parsched_telemetry::NullTelemetry;
+        let limits = parsched_regalloc::AllocLimits::default();
+        let mut compared = 0;
+        for seed in 0..24u64 {
+            let params = DagParams {
+                size: 12 + (seed as usize % 4) * 10,
+                window: 2 + (seed as usize % 6) * 4,
+                ..DagParams::default()
+            };
+            let func = random_dag_function(seed, &params);
+            for regs in [4, 6, 12] {
+                let p = Pipeline::new(paper::machine(regs));
+                let mut session = AllocSession::new();
+                let (mut allocated, _) =
+                    p.allocate(&mut session, &func, &Strategy::combined(), &limits, &quiet)?;
+                if parsched_regalloc::assignment::remove_identity_copies(&mut allocated) > 0 {
+                    continue;
+                }
+                let reach = Some(session.sched().reachability());
+                let via_session = p.count_false_deps(&allocated, reach, &limits, &quiet).0;
+                let via_rename = p.count_false_deps(&allocated, None, &limits, &quiet).0;
+                assert_eq!(via_session, via_rename, "seed {seed} regs {regs}");
+                compared += usize::from(via_rename > 0);
+            }
+        }
+        assert!(compared > 0, "no compared block had a false dependence");
+        Ok(())
+    }
+
+    /// `Budget::max_block_insts` counts the terminator, and both the
+    /// quadratic Pinter path and the false-dependence count measure a block
+    /// that way: at the cap both run, one instruction over both refuse.
+    #[test]
+    fn max_block_insts_counts_the_terminator_everywhere() -> Result<(), PipelineError> {
+        let func = paper::example1();
+        let insts = func.block(BlockId(0)).insts().len();
+        let p = Pipeline::new(paper::machine(3));
+        let quiet = parsched_telemetry::NullTelemetry;
+        let at_cap = Budget::unlimited().with_max_block_insts(insts);
+        let below = Budget::unlimited().with_max_block_insts(insts - 1);
+
+        p.compile_budgeted(&func, &Strategy::combined(), &at_cap, &quiet)?;
+        let over = p.compile_budgeted(&func, &Strategy::combined(), &below, &quiet);
+        assert!(
+            matches!(&over, Err(PipelineError::Budget(b))
+                if (b.limit, b.actual) == ((insts - 1) as u64, insts as u64)),
+            "expected a block-size budget error, got {over:?}"
+        );
+
+        let full = p.compile(&func, &Strategy::AllocThenSched, &quiet)?;
+        let full = full.stats.introduced_false_deps;
+        assert!(
+            full > 0,
+            "example 1 under alloc-first has a false dependence"
+        );
+        let skipped = |rec: &parsched_telemetry::Recorder| {
+            rec.events()
+                .iter()
+                .any(|e| e.name == "pipeline.false_dep_count.skipped")
+        };
+        let rec = parsched_telemetry::Recorder::new();
+        let counted = p.compile_budgeted(&func, &Strategy::AllocThenSched, &at_cap, &rec)?;
+        assert_eq!(counted.stats.introduced_false_deps, full);
+        assert!(!skipped(&rec));
+        let rec = parsched_telemetry::Recorder::new();
+        let over = p.compile_budgeted(&func, &Strategy::AllocThenSched, &below, &rec)?;
+        assert_eq!(over.stats.introduced_false_deps, 0);
+        assert!(skipped(&rec));
+        Ok(())
     }
 }

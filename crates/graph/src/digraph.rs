@@ -38,6 +38,23 @@ impl DiGraph {
         }
     }
 
+    /// Creates a graph with `out_degree.len()` nodes and no edges, each
+    /// adjacency list pre-sized for node `u`'s `out_degree[u]` successors
+    /// and `in_degree[u]` predecessors, so a builder that knows its degrees
+    /// up front never regrows a list edge by edge.
+    ///
+    /// # Panics
+    /// Panics if the two slices differ in length.
+    pub fn with_degrees(out_degree: &[usize], in_degree: &[usize]) -> Self {
+        assert_eq!(out_degree.len(), in_degree.len(), "one degree per node");
+        DiGraph {
+            succs: out_degree.iter().map(|&d| Vec::with_capacity(d)).collect(),
+            preds: in_degree.iter().map(|&d| Vec::with_capacity(d)).collect(),
+            adj: BitMatrix::new(out_degree.len()),
+            edge_count: 0,
+        }
+    }
+
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
         self.succs.len()

@@ -139,10 +139,35 @@ impl UnGraph {
             "graph union requires equal node counts"
         );
         let mut g = self.clone();
-        for (u, v) in other.edges() {
-            g.add_edge(u, v);
-        }
+        g.union_with(other);
         g
+    }
+
+    /// Adds every edge of `other` to `self` in place: the same graph,
+    /// neighbor orders included, as calling [`UnGraph::add_edge`] for each
+    /// edge of `other.edges()` in turn, but the adjacency rows merge a word
+    /// at a time.
+    ///
+    /// # Panics
+    /// Panics if node counts differ.
+    pub fn union_with(&mut self, other: &UnGraph) {
+        assert_eq!(
+            self.node_count(),
+            other.node_count(),
+            "graph union requires equal node counts"
+        );
+        // `other.edges()` yields each edge once, so testing the rows before
+        // the merge below sees exactly what sequential insertion would.
+        for (u, v) in other.edges() {
+            if !self.adj.get(u, v) {
+                self.neighbors[u].push(v);
+                self.neighbors[v].push(u);
+                self.edge_count += 1;
+            }
+        }
+        for u in 0..self.node_count() {
+            self.adj.row_mut(u).union_with(other.adj.row(u));
+        }
     }
 
     /// Returns the complement graph: `{u, v}` present iff absent in `self`.

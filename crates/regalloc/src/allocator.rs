@@ -12,6 +12,7 @@ use parsched_ir::{BlockId, Function, Reg};
 use parsched_machine::MachineDesc;
 use parsched_sched::ep::ep_reorder;
 use parsched_sched::DepGraph;
+use std::collections::BTreeSet;
 use std::error::Error;
 use std::fmt;
 
@@ -212,7 +213,7 @@ pub fn allocate_single_block_in(
 
     let mut current = func.clone();
     if let BlockStrategy::Pinter(cfg) = &strategy {
-        limits.check_block_insts("alloc.ep_prepass", current.block(block_id).body().len())?;
+        limits.check_block_insts("alloc.ep_prepass", current.block(block_id).insts().len())?;
         if cfg.ep_prepass {
             let _span = parsched_telemetry::span(telemetry, "alloc.ep_prepass");
             let deps = DepGraph::build(current.block(block_id), telemetry);
@@ -223,7 +224,6 @@ pub fn allocate_single_block_in(
             *current.block_mut(block_id) = reordered;
         }
     }
-    let reference = current.clone();
     // Registers introduced by spill rewriting (reload temporaries) must
     // never be spilled again — their live ranges are already minimal and
     // re-spilling them loops forever. Protect them with a prohibitive cost.
@@ -253,11 +253,11 @@ pub fn allocate_single_block_in(
     for round in 1..=max_rounds {
         limits.check_deadline("alloc.deadline")?;
         let round_span = parsched_telemetry::span(telemetry, "alloc.round");
-        let (liveness, problem) = {
+        let problem = {
             let _span = parsched_telemetry::span(telemetry, "alloc.liveness");
-            let liveness = Liveness::compute(&current, &[]);
-            let problem = BlockAllocProblem::build(&current, block_id, &liveness)?;
-            (liveness, problem)
+            // One backward scan of the block: a single-block function has
+            // nothing live out.
+            BlockAllocProblem::build_live_out(&current, block_id, &BTreeSet::new())?
         };
         let costs: Vec<f64> = (0..problem.len())
             .map(|n| match problem.nodes()[n] {
@@ -273,6 +273,7 @@ pub fn allocate_single_block_in(
                 (out.colors, out.spilled, Vec::new())
             }
             BlockStrategy::LinearScan => {
+                let liveness = Liveness::compute(&current, &[]);
                 let out = crate::linear::linear_scan_color(
                     &current, block_id, &problem, &liveness, k, telemetry,
                 );
@@ -283,7 +284,7 @@ pub fn allocate_single_block_in(
                 (out.colors, out.spilled, Vec::new())
             }
             BlockStrategy::Pinter(cfg) => {
-                limits.check_block_insts("pig.build", current.block(block_id).body().len())?;
+                limits.check_block_insts("pig.build", current.block(block_id).insts().len())?;
                 session.set_deadline(limits.deadline);
                 match pending_remap.take() {
                     Some(remap) => {
@@ -378,9 +379,6 @@ pub fn allocate_single_block_in(
                     ),
                 );
             }
-            // The reference (pre-spill, post-prepass) function is what the
-            // caller compares schedules against; return the allocated form.
-            let _ = &reference;
             return Ok(BlockAllocation {
                 function: allocated,
                 colors_used,

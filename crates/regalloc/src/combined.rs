@@ -153,8 +153,53 @@ pub struct CombinedWorkspace {
     falive_deg: Vec<usize>,
     shared_cnt: Vec<usize>,
     queued: Vec<bool>,
-    heap: BinaryHeap<Reverse<u128>>,
+    candidates: EdgeQueue,
     scratch: BitSet,
+}
+
+/// The least-benefit candidate edges, smallest packed key first. The
+/// candidates known when coloring starts form one sorted run consumed from
+/// the front; edges that become candidates later go to a heap. Each pop
+/// takes the smaller head, so entries leave in exactly the order a single
+/// heap over all of them would give, without a heap operation for most.
+#[derive(Default)]
+struct EdgeQueue {
+    run: Vec<u128>,
+    next: usize,
+    late: BinaryHeap<Reverse<u128>>,
+}
+
+impl EdgeQueue {
+    /// Empties the queue and returns the initial run to fill; call
+    /// [`EdgeQueue::seal`] once it holds every initial candidate.
+    fn start(&mut self) -> &mut Vec<u128> {
+        self.run.clear();
+        self.next = 0;
+        self.late.clear();
+        &mut self.run
+    }
+
+    fn seal(&mut self) {
+        self.run.sort_unstable();
+    }
+
+    /// Adds a candidate found after [`EdgeQueue::seal`].
+    fn push(&mut self, entry: u128) {
+        self.late.push(Reverse(entry));
+    }
+
+    /// Removes and returns the smallest entry.
+    fn pop_min(&mut self) -> Option<u128> {
+        let run_head = self.run.get(self.next).copied();
+        match (run_head, self.late.peek()) {
+            (Some(r), Some(&Reverse(l))) if l < r => self.late.pop().map(|Reverse(l)| l),
+            (Some(r), _) => {
+                self.next += 1;
+                Some(r)
+            }
+            (None, _) => self.late.pop().map(|Reverse(l)| l),
+        }
+    }
 }
 
 /// Copies `n` rows of `src` into `dst`, reusing `dst`'s buffers.
@@ -248,37 +293,40 @@ pub fn combined_color_in(
 
     // Least-benefit removal picks the minimum of a *static* key (the
     // priority sums never change), so instead of rescanning every eligible
-    // edge after each removal, a lazy heap holds candidate edges and
-    // entries are validated when popped. A node's false edges enter the
-    // heap when it becomes savable — at the start, or when `remove_node`
+    // edge after each removal, a lazy min-queue (`EdgeQueue`) holds
+    // candidate edges and entries are validated when popped. A node's false
+    // edges enter the queue when it becomes savable — at the start, or when `remove_node`
     // drops its interference degree below k (degrees only decrease, so
     // that transition happens at most once per node). Stale entries
     // (removed edge, dead endpoint, savability lost) are discarded on pop,
-    // which keeps the choice identical to the full scan.
+    // which keeps the choice identical to the full scan. Each edge is
+    // pushed once, by whichever endpoint is queued first: a queued endpoint
+    // stays savable while the edge and both endpoints live (its
+    // interference degree never rises, and the edge keeps its false degree
+    // positive), so that one entry stays valid as long as the edge can be
+    // chosen, and a second entry with the same key would only add a stale
+    // pop.
     let lazy = config.edge_policy == EdgeRemovalPolicy::LeastBenefit;
-    let heap = &mut ws.heap;
-    heap.clear();
+    let candidates = &mut ws.candidates;
     let queued = &mut ws.queued;
     queued.clear();
     queued.resize(if lazy { n } else { 0 }, false);
     let savable = |v: usize, inter_deg: &[usize], falive_deg: &[usize]| {
         inter_deg[v] < k as usize && falive_deg[v] > 0
     };
+    let initial = candidates.start();
     if lazy {
         for v in alive.iter() {
             if savable(v, inter_deg, falive_deg) {
                 queued[v] = true;
-                for u in false_rows[v].iter() {
+                for u in false_rows[v].iter().filter(|&u| !queued[u]) {
                     let (a, b) = (v.min(u), v.max(u));
-                    heap.push(Reverse(pack_edge(
-                        priority[a].saturating_add(priority[b]),
-                        a,
-                        b,
-                    )));
+                    initial.push(pack_edge(priority[a].saturating_add(priority[b]), a, b));
                 }
             }
         }
     }
+    candidates.seal();
 
     drop(setup_span);
     let loop_span = parsched_telemetry::span(telemetry, "combined.mainloop");
@@ -316,7 +364,7 @@ pub fn combined_color_in(
             if lazy {
                 queue_new_savable(
                     v, alive, work_rows, false_rows, inter_deg, falive_deg, k, priority, queued,
-                    heap, scratch,
+                    candidates, scratch,
                 );
             }
             stack.push(v);
@@ -330,10 +378,10 @@ pub fn combined_color_in(
         let mut chosen: Option<(usize, usize)> = None;
         match config.edge_policy {
             EdgeRemovalPolicy::LeastBenefit => {
-                // Discard stale heap entries until the top one still names
+                // Discard stale queue entries until the head still names
                 // a live, savable-endpoint false edge; the minimum valid
                 // key is exactly what the full scan would have picked.
-                while let Some(&Reverse(entry)) = heap.peek() {
+                while let Some(entry) = candidates.pop_min() {
                     let (a, b) = unpack_edge(entry);
                     if alive.contains(a)
                         && alive.contains(b)
@@ -341,10 +389,8 @@ pub fn combined_color_in(
                         && (savable(a, inter_deg, falive_deg) || savable(b, inter_deg, falive_deg))
                     {
                         chosen = Some((a, b));
-                        heap.pop();
                         break;
                     }
-                    heap.pop();
                 }
             }
             EdgeRemovalPolicy::Pseudorandom { .. } => {
@@ -450,7 +496,7 @@ pub fn combined_color_in(
         if lazy {
             queue_new_savable(
                 victim, alive, work_rows, false_rows, inter_deg, falive_deg, k, priority, queued,
-                heap, scratch,
+                candidates, scratch,
             );
         }
         if telemetry.enabled() {
@@ -497,8 +543,8 @@ pub fn combined_color_in(
 }
 
 /// Packs a least-benefit candidate edge as `(key, a, b)` in one `u128`:
-/// numeric order equals the lexicographic order of the tuple, so the heap
-/// compares a single word pair instead of three fields. Node ids fit u32
+/// numeric order equals the lexicographic order of the tuple, so the
+/// candidate queue compares a single word pair instead of three fields. Node ids fit u32
 /// (blocks are bounded far below that).
 fn pack_edge(key: u32, a: usize, b: usize) -> u128 {
     debug_assert!(a <= u32::MAX as usize && b <= u32::MAX as usize);
@@ -512,7 +558,7 @@ fn unpack_edge(x: u128) -> (usize, usize) {
 /// After `v`'s removal dropped its neighbors' degree counters, pushes the
 /// false edges of any neighbor that just became savable (interference
 /// degree below `k` for the first time) into the least-benefit candidate
-/// heap. Degrees only decrease, so each node passes this threshold at most
+/// queue. Degrees only decrease, so each node passes this threshold at most
 /// once and `queued` guarantees a single push per node.
 #[allow(clippy::too_many_arguments)]
 fn queue_new_savable(
@@ -525,7 +571,7 @@ fn queue_new_savable(
     k: u32,
     priority: &[u32],
     queued: &mut [bool],
-    heap: &mut BinaryHeap<Reverse<u128>>,
+    candidates: &mut EdgeQueue,
     scratch: &mut BitSet,
 ) {
     scratch.clone_from(&work_rows[v]);
@@ -533,13 +579,9 @@ fn queue_new_savable(
     for u in scratch.iter() {
         if !queued[u] && inter_deg[u] < k as usize && falive_deg[u] > 0 {
             queued[u] = true;
-            for w in false_rows[u].iter() {
+            for w in false_rows[u].iter().filter(|&w| !queued[w]) {
                 let (a, b) = (u.min(w), u.max(w));
-                heap.push(Reverse(pack_edge(
-                    priority[a].saturating_add(priority[b]),
-                    a,
-                    b,
-                )));
+                candidates.push(pack_edge(priority[a].saturating_add(priority[b]), a, b));
             }
         }
     }

@@ -53,8 +53,9 @@ impl Error for BudgetExceeded {}
 pub struct AllocLimits {
     /// Cap on color/spill rounds; `None` means [`DEFAULT_MAX_ROUNDS`].
     pub max_rounds: Option<u32>,
-    /// Cap on block body size for the quadratic combined-allocator path
-    /// (transitive closure / PIG construction). Cheaper strategies ignore it.
+    /// Cap on block size in instructions, terminator included, for the
+    /// quadratic combined-allocator path (transitive closure / PIG
+    /// construction). Cheaper strategies ignore it.
     pub max_block_insts: Option<usize>,
     /// Cap on PIG edge count after construction.
     pub max_pig_edges: Option<u64>,

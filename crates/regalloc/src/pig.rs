@@ -127,9 +127,7 @@ impl Pig {
         );
         let n = er.node_count();
         self.graph.clone_from(er);
-        for (u, v) in false_edges.edges() {
-            self.graph.add_edge(u, v);
-        }
+        self.graph.union_with(false_edges);
 
         self.interference_only.reset(n);
         self.false_only.reset(n);

@@ -2,7 +2,7 @@
 
 use parsched_graph::DiGraph;
 use parsched_graph::FastMap;
-use parsched_ir::{Block, Inst, InstKind};
+use parsched_ir::{AddrBase, Block, Inst, InstKind, MemAddr, Reg};
 use parsched_machine::{MachineDesc, OpClass};
 use std::time::Instant;
 
@@ -104,10 +104,18 @@ pub fn op_class(inst: &Inst) -> OpClass {
 /// with an earlier one, a directed edge runs earlier → later. When several
 /// kinds relate the same pair the strongest is kept, in the order
 /// flow > output > anti (memory kinds likewise).
+///
+/// Edge kinds are stored flat, parallel to the adjacency lists:
+/// [`DepGraph::succ_kinds`]`(u)[k]` is the kind of the edge
+/// `u → graph().succs(u)[k]`. Edges are inserted in a fixed order — every
+/// flow edge first (by consumer, then operand order), then every other
+/// edge by `(to, from)` ascending — so `succs`/`preds` order, and with it
+/// every scheduler tie-break, is a function of the block alone.
 #[derive(Debug, Clone)]
 pub struct DepGraph {
     graph: DiGraph,
-    kinds: FastMap<(usize, usize), DepKind>,
+    kind_start: Vec<usize>,
+    kinds: Vec<DepKind>,
     classes: Vec<OpClass>,
 }
 
@@ -129,10 +137,9 @@ impl DepGraph {
     }
 
     /// [`DepGraph::build`] with a cooperative wall-clock deadline: the
-    /// quadratic pair scan polls the clock once per row and returns
-    /// `None` as soon as `deadline` is in the past. Meant for
-    /// statistics-only callers that would rather skip the graph than
-    /// blow a compile budget on it.
+    /// build polls the clock once per instruction and returns `None` as
+    /// soon as `deadline` is in the past. Meant for statistics-only callers
+    /// that would rather skip the graph than blow a compile budget on it.
     pub fn build_until(
         block: &Block,
         telemetry: &dyn parsched_telemetry::Telemetry,
@@ -148,116 +155,206 @@ impl DepGraph {
     }
 
     fn build_impl(block: &Block, deadline: Option<Instant>) -> Option<DepGraph> {
+        const NONE: u32 = u32::MAX;
         let body = block.body();
         let n = body.len();
-        let mut graph = DiGraph::new(n);
-        let mut kinds: FastMap<(usize, usize), DepKind> = FastMap::default();
 
-        let mut add = |graph: &mut DiGraph, from: usize, to: usize, kind: DepKind| {
-            debug_assert!(from < to, "dependences point forward");
-            use std::collections::hash_map::Entry;
-            match kinds.entry((from, to)) {
-                Entry::Vacant(e) => {
-                    graph.add_edge(from, to);
-                    e.insert(kind);
-                }
-                Entry::Occupied(mut e) => {
-                    if strength(kind) > strength(*e.get()) {
-                        e.insert(kind);
-                    }
-                }
-            }
-        };
-
-        // Flow dependences are *killing*: a use depends on the most recent
-        // definition of its register, not on stale earlier ones (an
-        // intervening redefinition yields output + flow edges whose
-        // transitive combination preserves ordering). Anti and output
-        // dependences follow the paper's literal any-later-redefinition
-        // wording; they are conservative but only add ordering already
-        // implied transitively.
-        // Hoisted per-instruction facts: the pair scan below would
-        // otherwise recompute them (and the memory/call pattern matches)
-        // O(n²) times. Register lists live in two flat arenas indexed by
-        // instruction, so hoisting costs two allocations, not 2n.
-        let mut defs_arena: Vec<parsched_ir::Reg> = Vec::new();
-        let mut uses_arena: Vec<parsched_ir::Reg> = Vec::new();
+        // Register operands as dense per-block ids, in two flat arenas
+        // indexed by instruction (`defs(j)`, `uses(j)`).
+        let mut reg_ids: FastMap<Reg, u32> = FastMap::default();
+        let mut scratch: Vec<Reg> = Vec::new();
+        let mut defs_arena: Vec<u32> = Vec::new();
+        let mut uses_arena: Vec<u32> = Vec::new();
         let mut defs_idx: Vec<usize> = Vec::with_capacity(n + 1);
         let mut uses_idx: Vec<usize> = Vec::with_capacity(n + 1);
         defs_idx.push(0);
         uses_idx.push(0);
+        let mut intern = |arena: &mut Vec<u32>, scratch: &mut Vec<Reg>| {
+            for r in scratch.drain(..) {
+                let next = reg_ids.len() as u32;
+                arena.push(*reg_ids.entry(r).or_insert(next));
+            }
+        };
         for inst in body {
-            inst.defs_into(&mut defs_arena);
-            inst.uses_into(&mut uses_arena);
+            inst.defs_into(&mut scratch);
+            intern(&mut defs_arena, &mut scratch);
+            inst.uses_into(&mut scratch);
+            intern(&mut uses_arena, &mut scratch);
             defs_idx.push(defs_arena.len());
             uses_idx.push(uses_arena.len());
         }
         let defs = |i: usize| &defs_arena[defs_idx[i]..defs_idx[i + 1]];
         let uses = |i: usize| &uses_arena[uses_idx[i]..uses_idx[i + 1]];
-        let mem_r: Vec<Option<&parsched_ir::MemAddr>> = body.iter().map(Inst::mem_read).collect();
-        let mem_w: Vec<Option<&parsched_ir::MemAddr>> = body.iter().map(Inst::mem_write).collect();
+        let mem_r: Vec<Option<&MemAddr>> = body.iter().map(Inst::mem_read).collect();
+        let mem_w: Vec<Option<&MemAddr>> = body.iter().map(Inst::mem_write).collect();
         let is_call: Vec<bool> = body
             .iter()
             .map(|b| matches!(b.kind(), InstKind::Call { .. }))
             .collect();
 
-        let mut last_def: FastMap<parsched_ir::Reg, usize> = FastMap::default();
-        for j in 0..n {
-            for u in uses(j) {
-                if let Some(&i) = last_def.get(u) {
-                    add(&mut graph, i, j, DepKind::Flow);
-                }
-            }
-            for &d in defs(j) {
-                last_def.insert(d, j);
-            }
-        }
+        // Per-register occurrence chains over the instructions seen so far:
+        // `def_head[r]` is r's latest def occurrence (an index into
+        // `defs_arena`), `def_prev[k]` the one before occurrence `k`, and
+        // `def_inst[k]` its instruction; likewise for uses.
+        let nregs = reg_ids.len();
+        let mut def_head = vec![NONE; nregs];
+        let mut use_head = vec![NONE; nregs];
+        let mut def_prev = vec![NONE; defs_arena.len()];
+        let mut use_prev = vec![NONE; uses_arena.len()];
+        let mut def_inst = vec![0u32; defs_arena.len()];
+        let mut use_inst = vec![0u32; uses_arena.len()];
+        let mut mem = MemIndex::default();
+
+        // Per-consumer predecessor lists: flow predecessors in operand order,
+        // then every other predecessor ascending with its strongest kind.
+        let mut flow: Vec<u32> = Vec::new();
+        let mut flow_end: Vec<usize> = Vec::with_capacity(n);
+        let mut other: Vec<(u32, DepKind)> = Vec::new();
+        let mut other_end: Vec<usize> = Vec::with_capacity(n);
+        // Row scratch: `flow_row[i] == j` marks a flow edge i → j, `best[i]`
+        // holds the strongest other kind found for i → j, and `row_bits`
+        // marks those i so the row drains in ascending order without a sort.
+        let mut flow_row = vec![usize::MAX; n];
+        let mut best: Vec<Option<DepKind>> = vec![None; n];
+        let mut row_bits = vec![0u64; n.div_ceil(64)];
+        let mut out_degree = vec![0usize; n];
+        let mut in_degree: Vec<usize> = Vec::with_capacity(n);
 
         for j in 0..n {
-            // Each row below is O(j) with several register scans, so one
-            // clock read per row is invisible next to the row itself.
             if deadline.is_some_and(|d| Instant::now() >= d) {
                 return None;
             }
-            let defs_j = defs(j);
-            let (rj, wj) = (mem_r[j], mem_w[j]);
-            for i in 0..j {
-                // Output: i and j define the same register.
-                if defs(i).iter().any(|d| defs_j.contains(d)) {
-                    add(&mut graph, i, j, DepKind::Output);
-                }
-                // Anti: i uses a register j redefines.
-                if uses(i).iter().any(|u| defs_j.contains(u)) {
-                    add(&mut graph, i, j, DepKind::Anti);
-                }
-                // Memory dependences.
-                let (ri, wi) = (mem_r[i], mem_w[i]);
-                if let (Some(w), Some(r)) = (wi, rj) {
-                    if w.may_alias(r) {
-                        add(&mut graph, i, j, DepKind::MemFlow);
+            let (flow_start, other_start) = (flow.len(), other.len());
+            // Flow dependences are *killing*: a use depends on the most
+            // recent definition of its register, not on stale earlier ones
+            // (an intervening redefinition yields output + flow edges whose
+            // transitive combination preserves ordering).
+            for &u in uses(j) {
+                let k = def_head[u as usize];
+                if k != NONE {
+                    let i = def_inst[k as usize] as usize;
+                    if flow_row[i] != j {
+                        flow_row[i] = j;
+                        flow.push(i as u32);
+                        out_degree[i] += 1;
                     }
-                }
-                if let (Some(r), Some(w)) = (ri, wj) {
-                    if r.may_alias(w) {
-                        add(&mut graph, i, j, DepKind::MemAnti);
-                    }
-                }
-                if let (Some(w1), Some(w2)) = (wi, wj) {
-                    if w1.may_alias(w2) {
-                        add(&mut graph, i, j, DepKind::MemOutput);
-                    }
-                }
-                // Calls are barriers for memory and other calls.
-                if (is_call[i] && (is_call[j] || rj.is_some() || wj.is_some()))
-                    || (is_call[j] && (ri.is_some() || wi.is_some()))
-                {
-                    add(&mut graph, i, j, DepKind::Control);
                 }
             }
+            flow_end.push(flow.len());
+
+            let mut lowest_word = usize::MAX;
+            let mut note = |i: usize, kind: DepKind| {
+                if flow_row[i] == j {
+                    return; // flow is the strongest kind
+                }
+                match best[i] {
+                    None => {
+                        best[i] = Some(kind);
+                        row_bits[i / 64] |= 1 << (i % 64);
+                        lowest_word = lowest_word.min(i / 64);
+                    }
+                    Some(old) if strength(kind) > strength(old) => best[i] = Some(kind),
+                    Some(_) => {}
+                }
+            };
+            // Anti and output dependences follow the paper's literal
+            // any-later-redefinition wording; they are conservative but only
+            // add ordering already implied transitively.
+            for &d in defs(j) {
+                let mut k = def_head[d as usize];
+                while k != NONE {
+                    note(def_inst[k as usize] as usize, DepKind::Output);
+                    k = def_prev[k as usize];
+                }
+                let mut k = use_head[d as usize];
+                while k != NONE {
+                    note(use_inst[k as usize] as usize, DepKind::Anti);
+                    k = use_prev[k as usize];
+                }
+            }
+            let (rj, wj) = (mem_r[j], mem_w[j]);
+            let addr_j = rj.or(wj);
+            if addr_j.is_some() || is_call[j] {
+                mem.for_each_conflict(addr_j, is_call[j], |i| {
+                    let (ri, wi) = (mem_r[i], mem_w[i]);
+                    if wi.is_some() && rj.is_some() {
+                        note(i, DepKind::MemFlow);
+                    }
+                    if ri.is_some() && wj.is_some() {
+                        note(i, DepKind::MemAnti);
+                    }
+                    if wi.is_some() && wj.is_some() {
+                        note(i, DepKind::MemOutput);
+                    }
+                    // Calls are barriers for memory and other calls.
+                    if is_call[i] || is_call[j] {
+                        note(i, DepKind::Control);
+                    }
+                });
+                mem.insert(j, addr_j, is_call[j]);
+            }
+            if lowest_word != usize::MAX {
+                // Every marked i is below j, so the row ends in word (j-1)/64.
+                let words = &mut row_bits[lowest_word..=(j - 1) / 64];
+                for (w, word) in (lowest_word..).zip(words) {
+                    while *word != 0 {
+                        let i = w * 64 + word.trailing_zeros() as usize;
+                        *word &= *word - 1;
+                        if let Some(kind) = best[i].take() {
+                            other.push((i as u32, kind));
+                            out_degree[i] += 1;
+                        }
+                    }
+                }
+            }
+            other_end.push(other.len());
+            in_degree.push(flow_end[j] + other_end[j] - flow_start - other_start);
+
+            for k in defs_idx[j]..defs_idx[j + 1] {
+                let r = defs_arena[k] as usize;
+                def_prev[k] = def_head[r];
+                def_inst[k] = j as u32;
+                def_head[r] = k as u32;
+            }
+            for k in uses_idx[j]..uses_idx[j + 1] {
+                let r = uses_arena[k] as usize;
+                use_prev[k] = use_head[r];
+                use_inst[k] = j as u32;
+                use_head[r] = k as u32;
+            }
+        }
+
+        // Insert in the documented order (all flow edges, then the rest by
+        // consumer), filling each edge's kind at its successor-list slot.
+        let mut kind_start = Vec::with_capacity(n + 1);
+        kind_start.push(0);
+        for &d in &out_degree {
+            kind_start.push(kind_start[kind_start.len() - 1] + d);
+        }
+        let mut kinds = vec![DepKind::Flow; flow.len() + other.len()];
+        let mut slot: Vec<usize> = kind_start[..n].to_vec();
+        let mut graph = DiGraph::with_degrees(&out_degree, &in_degree);
+        let mut begin = 0;
+        for (j, &end) in flow_end.iter().enumerate() {
+            for &i in &flow[begin..end] {
+                graph.add_edge(i as usize, j);
+                slot[i as usize] += 1;
+            }
+            begin = end;
+        }
+        let mut begin = 0;
+        for (j, &end) in other_end.iter().enumerate() {
+            for &(i, kind) in &other[begin..end] {
+                graph.add_edge(i as usize, j);
+                kinds[slot[i as usize]] = kind;
+                slot[i as usize] += 1;
+            }
+            begin = end;
         }
 
         Some(DepGraph {
             graph,
+            kind_start,
             kinds,
             classes: body.iter().map(op_class).collect(),
         })
@@ -288,18 +385,34 @@ impl DepGraph {
         &self.classes
     }
 
-    /// The kind of the edge `from → to`, if present.
+    /// The kind of the edge `from → to`, if present. Scans `from`'s
+    /// successor list; iterate [`DepGraph::out_edges`] instead when walking
+    /// a node's edges.
     pub fn kind(&self, from: usize, to: usize) -> Option<DepKind> {
-        self.kinds.get(&(from, to)).copied()
+        if !self.graph.has_edge(from, to) {
+            return None;
+        }
+        let pos = self.graph.succs(from).iter().position(|&v| v == to)?;
+        Some(self.succ_kinds(from)[pos])
     }
 
-    /// Iterates over all edges.
+    /// The kinds of `u`'s outgoing edges, parallel to `graph().succs(u)`.
+    pub fn succ_kinds(&self, u: usize) -> &[DepKind] {
+        &self.kinds[self.kind_start[u]..self.kind_start[u + 1]]
+    }
+
+    /// The edges leaving `u`, in successor-list order.
+    pub fn out_edges(&self, u: usize) -> impl Iterator<Item = DepEdge> + '_ {
+        self.graph
+            .succs(u)
+            .iter()
+            .zip(self.succ_kinds(u))
+            .map(move |(&to, &kind)| DepEdge { from: u, to, kind })
+    }
+
+    /// Iterates over all edges, grouped by source in successor-list order.
     pub fn edges(&self) -> impl Iterator<Item = DepEdge> + '_ {
-        self.graph.edges().map(|(from, to)| DepEdge {
-            from,
-            to,
-            kind: self.kinds[&(from, to)],
-        })
+        (0..self.len()).flat_map(move |u| self.out_edges(u))
     }
 
     /// The latency an edge imposes on `machine`: `cycle(to) ≥ cycle(from) +
@@ -339,22 +452,74 @@ impl DepGraph {
         for &u in order.iter().rev() {
             let own = machine.latency(self.class(u)).max(1);
             let best_succ = self
-                .graph
-                .succs(u)
-                .iter()
-                .filter_map(|&v| {
-                    let e = DepEdge {
-                        from: u,
-                        to: v,
-                        kind: self.kind(u, v)?,
-                    };
-                    Some(self.edge_latency(machine, &e) + height[v])
-                })
+                .out_edges(u)
+                .map(|e| self.edge_latency(machine, &e) + height[e.to])
                 .max()
                 .unwrap_or(0);
             height[u] = own.max(best_succ);
         }
         Ok(height)
+    }
+}
+
+/// The memory operations and calls seen so far in a block, indexed by
+/// address so that each new operation visits only the earlier ones it may
+/// conflict with, per [`MemAddr::may_alias`]: a global address aliases the
+/// same global address and every register-based one; a register-based
+/// address aliases every global one and the register-based ones
+/// `may_alias` admits; a call conflicts with everything.
+#[derive(Default)]
+struct MemIndex<'a> {
+    by_global: FastMap<(&'a str, i64), Vec<usize>>,
+    globals: Vec<usize>,
+    reg_based: Vec<(usize, &'a MemAddr)>,
+    calls: Vec<usize>,
+    all: Vec<usize>,
+}
+
+impl<'a> MemIndex<'a> {
+    /// Calls `f` on every earlier operation that may conflict with an
+    /// operation accessing `addr` (or being a call), in no fixed order.
+    fn for_each_conflict(&self, addr: Option<&MemAddr>, is_call: bool, mut f: impl FnMut(usize)) {
+        if is_call {
+            self.all.iter().for_each(|&i| f(i));
+            return;
+        }
+        let Some(addr) = addr else { return };
+        match &addr.base {
+            AddrBase::Global(name) => {
+                if let Some(same) = self.by_global.get(&(name.as_str(), addr.offset)) {
+                    same.iter().for_each(|&i| f(i));
+                }
+                self.reg_based.iter().for_each(|&(i, _)| f(i));
+            }
+            AddrBase::Reg(_) => {
+                self.globals.iter().for_each(|&i| f(i));
+                for &(i, other) in &self.reg_based {
+                    if other.may_alias(addr) {
+                        f(i);
+                    }
+                }
+            }
+        }
+        self.calls.iter().for_each(|&i| f(i));
+    }
+
+    /// Records operation `j`, which accesses `addr` or is a call.
+    fn insert(&mut self, j: usize, addr: Option<&'a MemAddr>, is_call: bool) {
+        self.all.push(j);
+        match addr.map(|a| (&a.base, a)) {
+            Some((AddrBase::Global(name), a)) => {
+                self.by_global
+                    .entry((name.as_str(), a.offset))
+                    .or_default()
+                    .push(j);
+                self.globals.push(j);
+            }
+            Some((AddrBase::Reg(_), a)) => self.reg_based.push((j, a)),
+            None if is_call => self.calls.push(j),
+            None => {}
+        }
     }
 }
 
@@ -381,6 +546,241 @@ mod tests {
 
     fn build(b: &parsched_ir::Block) -> DepGraph {
         DepGraph::build(b, &parsched_telemetry::NullTelemetry)
+    }
+
+    /// The original O(n²) pair-scan builder, kept as the oracle for the
+    /// flat kernel: every pair `(i, j)` is tested for every dependence
+    /// kind, and the strongest kind per pair lives in a hash map.
+    fn pair_scan(block: &Block) -> (DiGraph, FastMap<(usize, usize), DepKind>) {
+        let body = block.body();
+        let n = body.len();
+        let mut graph = DiGraph::new(n);
+        let mut kinds: FastMap<(usize, usize), DepKind> = FastMap::default();
+        let mut add = |graph: &mut DiGraph, from: usize, to: usize, kind: DepKind| {
+            use std::collections::hash_map::Entry;
+            match kinds.entry((from, to)) {
+                Entry::Vacant(e) => {
+                    graph.add_edge(from, to);
+                    e.insert(kind);
+                }
+                Entry::Occupied(mut e) => {
+                    if strength(kind) > strength(*e.get()) {
+                        e.insert(kind);
+                    }
+                }
+            }
+        };
+        let defs: Vec<Vec<Reg>> = body.iter().map(Inst::defs).collect();
+        let uses: Vec<Vec<Reg>> = body.iter().map(Inst::uses).collect();
+        let is_call = |i: usize| matches!(body[i].kind(), InstKind::Call { .. });
+        let mut last_def: FastMap<Reg, usize> = FastMap::default();
+        for j in 0..n {
+            for u in &uses[j] {
+                if let Some(&i) = last_def.get(u) {
+                    add(&mut graph, i, j, DepKind::Flow);
+                }
+            }
+            for &d in &defs[j] {
+                last_def.insert(d, j);
+            }
+        }
+        for j in 0..n {
+            let (rj, wj) = (body[j].mem_read(), body[j].mem_write());
+            for i in 0..j {
+                if defs[i].iter().any(|d| defs[j].contains(d)) {
+                    add(&mut graph, i, j, DepKind::Output);
+                }
+                if uses[i].iter().any(|u| defs[j].contains(u)) {
+                    add(&mut graph, i, j, DepKind::Anti);
+                }
+                let (ri, wi) = (body[i].mem_read(), body[i].mem_write());
+                if let (Some(w), Some(r)) = (wi, rj) {
+                    if w.may_alias(r) {
+                        add(&mut graph, i, j, DepKind::MemFlow);
+                    }
+                }
+                if let (Some(r), Some(w)) = (ri, wj) {
+                    if r.may_alias(w) {
+                        add(&mut graph, i, j, DepKind::MemAnti);
+                    }
+                }
+                if let (Some(w1), Some(w2)) = (wi, wj) {
+                    if w1.may_alias(w2) {
+                        add(&mut graph, i, j, DepKind::MemOutput);
+                    }
+                }
+                if (is_call(i) && (is_call(j) || rj.is_some() || wj.is_some()))
+                    || (is_call(j) && (ri.is_some() || wi.is_some()))
+                {
+                    add(&mut graph, i, j, DepKind::Control);
+                }
+            }
+        }
+        (graph, kinds)
+    }
+
+    /// Asserts that the flat kernel and the pair-scan oracle agree on the
+    /// edge set, on every `succs`/`preds` order and on every kind.
+    fn assert_matches_oracle(block: &Block, what: &str) {
+        let got = build(block);
+        let (want, kinds) = pair_scan(block);
+        let n = want.node_count();
+        assert_eq!(got.len(), n, "{what}: node count");
+        assert_eq!(got.graph().edge_count(), kinds.len(), "{what}: edge count");
+        for u in 0..n {
+            assert_eq!(got.graph().succs(u), want.succs(u), "{what}: succs({u})");
+            assert_eq!(got.graph().preds(u), want.preds(u), "{what}: preds({u})");
+            for e in got.out_edges(u) {
+                assert_eq!(Some(&e.kind), kinds.get(&(e.from, e.to)), "{what}: {e:?}");
+                assert_eq!(got.kind(e.from, e.to), Some(e.kind), "{what}: kind()");
+            }
+        }
+    }
+
+    mod differential {
+        use super::assert_matches_oracle;
+        use parsched::{Pipeline, Strategy};
+        use parsched_ir::{
+            parse_module, BinOp, Block, Function, Inst, InstKind, MemAddr, Operand, Reg,
+        };
+        use parsched_machine::presets;
+        use parsched_telemetry::NullTelemetry;
+        use parsched_workload::dag::{random_dag_function, DagParams};
+        use parsched_workload::rng::SplitMix64;
+
+        const STRATEGIES: [Strategy; 5] = [
+            Strategy::AllocThenSched,
+            Strategy::SchedThenAlloc,
+            Strategy::LinearScanThenSched,
+            Strategy::Combined(parsched::regalloc::PinterConfig {
+                edge_policy: parsched::regalloc::EdgeRemovalPolicy::LeastBenefit,
+                spill_metric: parsched::regalloc::SpillMetric::HStar {
+                    interference_weight: 1.0,
+                    shared_weight: 2.0,
+                    parallel_weight: 1.5,
+                },
+                ep_prepass: true,
+            }),
+            Strategy::SpillEverything,
+        ];
+
+        /// Every block of `func`, then every block of its compiled form
+        /// under each strategy on a tight and a roomy register file.
+        fn check_function(func: &Function, what: &str) {
+            for (b, block) in func.blocks().iter().enumerate() {
+                assert_matches_oracle(block, &format!("{what} block {b}"));
+            }
+            for regs in [4, 12] {
+                let p = Pipeline::new(presets::paper_machine(regs));
+                for s in &STRATEGIES {
+                    let Ok(out) = p.compile(func, s, &NullTelemetry) else {
+                        continue;
+                    };
+                    for (b, block) in out.function.blocks().iter().enumerate() {
+                        let tag = format!("{what} {} r{regs} block {b}", s.label());
+                        assert_matches_oracle(block, &tag);
+                    }
+                }
+            }
+        }
+
+        #[test]
+        fn random_dags_before_and_after_allocation() {
+            for seed in 0..12u64 {
+                let params = DagParams {
+                    size: 16 + (seed as usize % 4) * 12,
+                    window: 2 + (seed as usize % 5) * 4,
+                    ..DagParams::default()
+                };
+                let f = random_dag_function(seed, &params);
+                check_function(&f, &format!("dag seed {seed}"));
+            }
+        }
+
+        /// A random block over a handful of physical registers (so output
+        /// and anti dependences pile up) mixing calls, register- and
+        /// global-based loads and stores, copies and arithmetic.
+        fn random_block(seed: u64, len: usize) -> Block {
+            let mut rng = SplitMix64::seed_from_u64(seed);
+            let reg = |rng: &mut SplitMix64| Reg::phys(rng.gen_range_usize(0, 5) as u32);
+            let addr = |rng: &mut SplitMix64| {
+                let offset = 8 * rng.gen_range_i64(0, 3);
+                if rng.gen_bool(0.5) {
+                    MemAddr::reg(reg(rng), offset)
+                } else {
+                    MemAddr::global(if rng.gen_bool(0.5) { "a" } else { "b" }, offset)
+                }
+            };
+            let mut block = Block::new("entry");
+            for _ in 0..len {
+                let kind = match rng.gen_range_usize(0, 7) {
+                    0 => InstKind::LoadImm {
+                        dst: reg(&mut rng),
+                        imm: 1,
+                    },
+                    1 | 2 => InstKind::Binary {
+                        op: BinOp::Add,
+                        dst: reg(&mut rng),
+                        lhs: Operand::Reg(reg(&mut rng)),
+                        rhs: Operand::Reg(reg(&mut rng)),
+                    },
+                    3 => InstKind::Copy {
+                        dst: reg(&mut rng),
+                        src: reg(&mut rng),
+                    },
+                    4 => InstKind::Load {
+                        dst: reg(&mut rng),
+                        addr: addr(&mut rng),
+                        float: false,
+                    },
+                    5 => InstKind::Store {
+                        src: reg(&mut rng),
+                        addr: addr(&mut rng),
+                        float: false,
+                    },
+                    _ => InstKind::Call {
+                        name: "f".into(),
+                        dsts: (0..rng.gen_range_usize(0, 3))
+                            .map(|_| reg(&mut rng))
+                            .collect(),
+                        args: (0..rng.gen_range_usize(0, 3))
+                            .map(|_| reg(&mut rng))
+                            .collect(),
+                    },
+                };
+                block.push(Inst::new(kind));
+            }
+            block.push(Inst::new(InstKind::Ret {
+                value: Some(reg(&mut rng)),
+            }));
+            block
+        }
+
+        #[test]
+        fn blocks_with_calls_and_register_addresses() {
+            for seed in 0..200u64 {
+                let block = random_block(seed, 4 + (seed as usize % 40));
+                assert_matches_oracle(&block, &format!("random block seed {seed}"));
+            }
+        }
+
+        #[test]
+        fn fuzz_corpus_cases() -> Result<(), Box<dyn std::error::Error>> {
+            let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../ci/fuzz-corpus");
+            let mut cases = 0;
+            for entry in std::fs::read_dir(dir)? {
+                let path = entry?.path();
+                if path.extension().is_some_and(|e| e == "psc") {
+                    let src = std::fs::read_to_string(&path)?;
+                    for f in parse_module(&src)? {
+                        check_function(&f, &path.display().to_string());
+                    }
+                    cases += 1;
+                }
+            }
+            assert!(cases > 0, "no fuzz-corpus cases found in {dir}");
+            Ok(())
+        }
     }
 
     #[test]

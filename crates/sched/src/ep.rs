@@ -25,15 +25,8 @@ pub fn ep_numbers(deps: &DepGraph, machine: &MachineDesc) -> Result<Vec<u32>, Cy
     let order = deps.graph().topological_sort()?;
     let mut ep = vec![0u32; deps.len()];
     for &u in &order {
-        for &v in deps.graph().succs(u) {
-            if let Some(kind) = deps.kind(u, v) {
-                let edge = crate::deps::DepEdge {
-                    from: u,
-                    to: v,
-                    kind,
-                };
-                ep[v] = ep[v].max(ep[u] + deps.edge_latency(machine, &edge));
-            }
+        for edge in deps.out_edges(u) {
+            ep[edge.to] = ep[edge.to].max(ep[u] + deps.edge_latency(machine, &edge));
         }
     }
     Ok(ep)
@@ -55,16 +48,8 @@ pub fn refined_ep_numbers(deps: &DepGraph, machine: &MachineDesc) -> Result<Vec<
     let edges: Vec<(usize, usize, u32)> = order
         .iter()
         .flat_map(|&u| {
-            deps.graph().succs(u).iter().filter_map(move |&v| {
-                deps.kind(u, v).map(|kind| {
-                    let edge = crate::deps::DepEdge {
-                        from: u,
-                        to: v,
-                        kind,
-                    };
-                    (u, v, deps.edge_latency(machine, &edge))
-                })
-            })
+            deps.out_edges(u)
+                .map(move |edge| (u, edge.to, deps.edge_latency(machine, &edge)))
         })
         .collect();
     let propagate = |ep: &mut [u32]| {

@@ -13,10 +13,9 @@
 //!   scheduling graph is a false dependence iff `{u,v} ∈ Ef`).
 
 use crate::deps::{DepEdge, DepGraph};
-use parsched_graph::{ClosureMode, Reachability, UnGraph, DEADLINE_STRIDE};
+use parsched_graph::{ClosureMode, FastMap, Reachability, UnGraph, DEADLINE_STRIDE};
 use parsched_ir::{Block, Inst, Reg};
 use parsched_machine::MachineDesc;
-use std::collections::HashMap;
 use std::time::Instant;
 
 /// Builds `Et` for a block body: undirected transitive closure of the
@@ -136,33 +135,40 @@ pub fn introduced_false_deps(ef: &UnGraph, alloc_deps: &DepGraph) -> Vec<DepEdge
 pub fn rename_apart(block: &Block) -> Block {
     let mut out = Block::new(block.label());
     let mut fresh: u32 = 0;
-    let mut current: HashMap<Reg, Reg> = HashMap::new();
+    let mut current: FastMap<Reg, Reg> = FastMap::default();
+    // Per-instruction renamings are a handful of operands, so small
+    // association lists beat hashing.
+    let mut regs: Vec<Reg> = Vec::new();
+    let mut use_map: Vec<(Reg, Reg)> = Vec::new();
+    let mut def_map: Vec<(Reg, Reg)> = Vec::new();
     for inst in block.insts() {
-        let mut renamed = inst.clone();
         // Uses first (they read the incoming names) …
-        let use_map: HashMap<Reg, Reg> = inst
-            .uses()
-            .into_iter()
-            .map(|u| {
-                let name = *current.entry(u).or_insert_with(|| {
-                    let r = Reg::sym(fresh);
-                    fresh += 1;
-                    r
-                });
-                (u, name)
-            })
-            .collect();
+        use_map.clear();
+        inst.uses_into(&mut regs);
+        for u in regs.drain(..) {
+            let name = *current.entry(u).or_insert_with(|| {
+                let r = Reg::sym(fresh);
+                fresh += 1;
+                r
+            });
+            use_map.push((u, name));
+        }
         // … then defs (they bind new names); the rewrite below is
         // role-aware because a register may be both read and written by
         // one instruction (e.g. `r1 = add r1, 1`).
-        let mut def_map: HashMap<Reg, Reg> = HashMap::new();
-        for d in inst.defs() {
+        def_map.clear();
+        inst.defs_into(&mut regs);
+        for d in regs.drain(..) {
             let r = Reg::sym(fresh);
             fresh += 1;
-            def_map.insert(d, r);
+            match def_map.iter_mut().find(|(k, _)| *k == d) {
+                Some(entry) => entry.1 = r,
+                None => def_map.push((d, r)),
+            }
         }
+        let mut renamed = inst.clone();
         rewrite_roles(&mut renamed, &def_map, &use_map);
-        for (d, r) in def_map {
+        for &(d, r) in &def_map {
             current.insert(d, r);
         }
         out.push(renamed);
@@ -170,11 +176,17 @@ pub fn rename_apart(block: &Block) -> Block {
     out
 }
 
-fn rewrite_roles(inst: &mut Inst, def_map: &HashMap<Reg, Reg>, use_map: &HashMap<Reg, Reg>) {
+/// The name `r` maps to in the association list `map` (itself if absent).
+fn renamed(map: &[(Reg, Reg)], r: Reg) -> Reg {
+    map.iter().find(|(k, _)| *k == r).map_or(r, |&(_, to)| to)
+}
+
+fn rewrite_roles(inst: &mut Inst, def_map: &[(Reg, Reg)], use_map: &[(Reg, Reg)]) {
     use parsched_ir::{AddrBase, InstKind, Operand};
-    let u = |r: Reg| *use_map.get(&r).unwrap_or(&r);
+    let u = |r: Reg| renamed(use_map, r);
+    let d = |r: &mut Reg| *r = renamed(def_map, *r);
     match inst.kind_mut() {
-        InstKind::LoadImm { dst, .. } => *dst = *def_map.get(dst).unwrap_or(dst),
+        InstKind::LoadImm { dst, .. } => d(dst),
         InstKind::Binary { dst, lhs, rhs, .. } => {
             if let Operand::Reg(r) = lhs {
                 *r = u(*r);
@@ -182,17 +194,17 @@ fn rewrite_roles(inst: &mut Inst, def_map: &HashMap<Reg, Reg>, use_map: &HashMap
             if let Operand::Reg(r) = rhs {
                 *r = u(*r);
             }
-            *dst = *def_map.get(dst).unwrap_or(dst);
+            d(dst);
         }
         InstKind::Unary { dst, src, .. } | InstKind::Copy { dst, src } => {
             *src = u(*src);
-            *dst = *def_map.get(dst).unwrap_or(dst);
+            d(dst);
         }
         InstKind::Load { dst, addr, .. } => {
             if let AddrBase::Reg(r) = &mut addr.base {
                 *r = u(*r);
             }
-            *dst = *def_map.get(dst).unwrap_or(dst);
+            d(dst);
         }
         InstKind::Store { src, addr, .. } => {
             *src = u(*src);
@@ -210,9 +222,7 @@ fn rewrite_roles(inst: &mut Inst, def_map: &HashMap<Reg, Reg>, use_map: &HashMap
             for a in args.iter_mut() {
                 *a = u(*a);
             }
-            for d in dsts.iter_mut() {
-                *d = *def_map.get(d).unwrap_or(d);
-            }
+            dsts.iter_mut().for_each(d);
         }
         InstKind::Ret { value } => {
             if let Some(v) = value {
@@ -229,36 +239,64 @@ fn rewrite_roles(inst: &mut Inst, def_map: &HashMap<Reg, Reg>, use_map: &HashMap
 /// against it. Zero for any code produced by PIG coloring with enough
 /// registers (Theorem 1).
 pub fn count_false_deps(block: &Block, machine: &MachineDesc) -> usize {
-    match count_false_deps_until(block, machine, None) {
+    let quiet = parsched_telemetry::NullTelemetry;
+    let own_deps = DepGraph::build(block, &quiet);
+    match count_false_deps_in(block, &own_deps, machine, None, &quiet) {
         Some(n) => n,
-        None => unreachable!("count_false_deps_until without a deadline cannot trip"),
+        None => unreachable!("count_false_deps_in without a deadline cannot trip"),
     }
 }
 
-/// [`count_false_deps`] with a cooperative deadline: the closure build
-/// polls `deadline` and the count returns `None` once it passes, so a
-/// caller inside a budgeted pipeline phase overshoots by at most one
-/// stride of work rather than the whole analysis.
+/// [`count_false_deps`] over `own_deps`, the caller's dependence graph of
+/// `block` itself (a pipeline builds it once and schedules from it too),
+/// with a cooperative deadline: the symbolic dependence graph and its
+/// closure poll `deadline` and the count returns `None` once it passes, so
+/// a caller inside a budgeted pipeline phase overshoots by at most one
+/// stride of work rather than the whole analysis. Each step reports to
+/// `telemetry` as a span: `falsedep.rename`, the symbolic `deps.build`,
+/// its `closure.build`, and `falsedep.test_edges`.
 ///
 /// Unlike [`et_graph`], this never materializes `Et`/`Ef`: each candidate
 /// dependence edge is tested directly against the reachability relation
 /// and the machine's pairwise constraints (`{u,v} ∈ Ef ⇔ u ≁ v in the
 /// closure and `u`,`v` have no issue conflict`), turning the former two
 /// O(n²) graph builds into O(deps) point queries.
-pub fn count_false_deps_until(
+pub fn count_false_deps_in(
     block: &Block,
+    own_deps: &DepGraph,
     machine: &MachineDesc,
     deadline: Option<Instant>,
+    telemetry: &dyn parsched_telemetry::Telemetry,
 ) -> Option<usize> {
-    let tripped = |d: Option<Instant>| d.is_some_and(|d| Instant::now() >= d);
-    let quiet = parsched_telemetry::NullTelemetry;
-    let renamed = rename_apart(block);
-    if tripped(deadline) {
+    let renamed = {
+        let _span = parsched_telemetry::span(telemetry, "falsedep.rename");
+        rename_apart(block)
+    };
+    if deadline.is_some_and(|d| Instant::now() >= d) {
         return None;
     }
-    let sym_deps = DepGraph::build_until(&renamed, &quiet, deadline)?;
-    let reach = Reachability::build(sym_deps.graph(), ClosureMode::Auto, deadline)?;
-    let own_deps = DepGraph::build_until(block, &quiet, deadline)?;
+    let sym_deps = DepGraph::build_until(&renamed, telemetry, deadline)?;
+    let reach = {
+        let _span = parsched_telemetry::span(telemetry, "closure.build");
+        Reachability::build(sym_deps.graph(), ClosureMode::Auto, deadline)?
+    };
+    count_false_edges(own_deps, &reach, machine, deadline, telemetry)
+}
+
+/// The test at the heart of [`count_false_deps_in`]: counts the register
+/// output edges of `own_deps` whose endpoints `symbolic` — the closure of
+/// the dependence graph of the block's symbolic form — leaves unordered
+/// and the machine lets issue together. Polls `deadline` every
+/// [`DEADLINE_STRIDE`] edges and returns `None` once it passes.
+pub fn count_false_edges(
+    own_deps: &DepGraph,
+    symbolic: &Reachability,
+    machine: &MachineDesc,
+    deadline: Option<Instant>,
+    telemetry: &dyn parsched_telemetry::Telemetry,
+) -> Option<usize> {
+    let _span = parsched_telemetry::span(telemetry, "falsedep.test_edges");
+    let tripped = |d: Option<Instant>| d.is_some_and(|d| Instant::now() >= d);
     let mut count = 0;
     for (i, e) in own_deps.edges().enumerate() {
         if i % DEADLINE_STRIDE == DEADLINE_STRIDE - 1 && tripped(deadline) {
@@ -267,9 +305,9 @@ pub fn count_false_deps_until(
         let (u, v) = (e.from, e.to);
         if e.kind.is_register_false_candidate()
             && u != v
-            && !reach.reaches(u, v)
-            && !reach.reaches(v, u)
-            && !machine.pairwise_conflict(sym_deps.class(u), sym_deps.class(v))
+            && !symbolic.reaches(u, v)
+            && !symbolic.reaches(v, u)
+            && !machine.pairwise_conflict(own_deps.class(u), own_deps.class(v))
         {
             count += 1;
         }

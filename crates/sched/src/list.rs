@@ -125,17 +125,10 @@ fn schedule_impl(
                 cycles[i] = cycle;
                 remaining -= 1;
                 issued_any = true;
-                for &s in deps.graph().succs(i) {
-                    unscheduled_preds[s] -= 1;
-                    if let Some(kind) = deps.kind(i, s) {
-                        let edge = crate::deps::DepEdge {
-                            from: i,
-                            to: s,
-                            kind,
-                        };
-                        let ready_at = cycle + deps.edge_latency(machine, &edge);
-                        earliest[s] = earliest[s].max(ready_at);
-                    }
+                for edge in deps.out_edges(i) {
+                    unscheduled_preds[edge.to] -= 1;
+                    let ready_at = cycle + deps.edge_latency(machine, &edge);
+                    earliest[edge.to] = earliest[edge.to].max(ready_at);
                 }
             }
         }

@@ -210,8 +210,8 @@ fn extreme_pressure_fails_gracefully_or_converges() {
     }
 }
 
+/// Stress: ~400-instruction blocks through every strategy.
 #[test]
-#[ignore = "stress test: ~400-instruction blocks through every strategy"]
 fn stress_large_blocks() {
     let params = DagParams {
         size: 400,
