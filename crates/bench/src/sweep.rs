@@ -78,9 +78,9 @@ pub struct Workload {
 /// The standard workloads: the kernel corpus (replicated so a batch has
 /// enough grains to shard), large random DAGs (the heavy per-function
 /// work), a register-pressure sweep on a starved machine (exercises
-/// spilling and the degradation ladder), `closure-width` — a narrow/wide
-/// DAG pair stressing both reachability backends and the density
-/// heuristic between them — and `exact-small` — small DAG blocks sized
+/// spilling and the degradation ladder), `closure-width` — the sweep's
+/// widest 120-inst DAGs, a dense-closure point where the reachability
+/// rows are longest — and `exact-small` — small DAG blocks sized
 /// for the exact joint solver, so its throughput is tracked and
 /// `--compare` guards it against regression.
 pub fn workloads(smoke: bool) -> Vec<Workload> {
@@ -114,11 +114,10 @@ pub fn workloads(smoke: bool) -> Vec<Workload> {
         .map(|seed| random_dag_function(seed * 17 + 3, &pressure_params))
         .collect();
 
-    // A deliberately skewed pair for the reachability engine: `narrow`
-    // DAGs are long chains (tiny path cover, the sparse backend's best
-    // case), `wide` DAGs are near-antichains (cover width ~ n, where the
-    // density heuristic must keep choosing the dense bitmatrix). Tracking
-    // both in one workload pins the auto heuristic's crossover.
+    // A dense-closure point for the reachability engine: 120-inst DAGs
+    // whose closure rows are the longest in the sweep. `wide` DAGs are
+    // near-antichains (most pairs unordered, so the PIG's false-dependence
+    // rows are full); `narrow` DAGs are long chains (most pairs ordered).
     let (width_count, width_size) = if smoke { (2, 20) } else { (6, 120) };
     let narrow_params = DagParams {
         size: width_size,

@@ -189,8 +189,8 @@ impl BatchDriver {
     /// applies to batch compilation too.
     ///
     /// Each worker owns one [`AllocSession`] reused across every function
-    /// it compiles, so dependence-graph and closure allocations stay warm
-    /// for the whole stripe.
+    /// it compiles, so the session's PIG scratch buffers stay warm for the
+    /// whole stripe.
     pub fn compile_module(&self, funcs: &[Function], sink: &(dyn Telemetry + Sync)) -> BatchOutput {
         let start = Instant::now();
         let n = funcs.len();

@@ -27,7 +27,7 @@
 //! Every phase entry point takes a `&dyn Telemetry` last argument; pass
 //! [`NullTelemetry`](parsched_telemetry::NullTelemetry) when you don't
 //! care, or a [`Recorder`](parsched_telemetry::Recorder) to capture phase
-//! timings and counters such as `pig.rounds` / `pig.full_rebuilds`.
+//! timings and counters such as `pig.rounds` / `alloc.rounds`.
 //!
 //! Above the pipeline sit two robustness layers: the [`Driver`] walks a
 //! degradation ladder under a resource [`Budget`] instead of failing, and
@@ -79,9 +79,9 @@ pub mod prelude {
         StrategyParseError,
     };
     pub use parsched_exact::ExactConfig;
-    pub use parsched_graph::{ClosureMode, Reachability};
+    pub use parsched_graph::Reachability;
     pub use parsched_regalloc::AllocSession;
-    pub use parsched_sched::{BlockRemap, SchedSession};
+    pub use parsched_sched::SchedSession;
     pub use parsched_telemetry::{NullTelemetry, Recorder, Telemetry};
 }
 
@@ -89,7 +89,7 @@ pub use batch::{BatchDriver, BatchOutput};
 pub use budget::Budget;
 pub use driver::{DegradationLevel, Driver};
 pub use error::ParschedError;
-pub use parsched_graph::{ClosureMode, ClosureModeParseError, Reachability};
+pub use parsched_graph::Reachability;
 pub use pipeline::{
     AllocScope, CompileResult, CompileStats, Pipeline, PipelineError, Strategy, StrategyParseError,
 };

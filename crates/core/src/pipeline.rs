@@ -4,7 +4,7 @@
 use crate::budget::Budget;
 use crate::driver::DegradationLevel;
 use parsched_exact::{ExactConfig, ExactError};
-use parsched_graph::{ClosureMode, Reachability};
+use parsched_graph::Reachability;
 use parsched_ir::{BlockId, Function};
 use parsched_machine::MachineDesc;
 use parsched_regalloc::allocator::{allocate_single_block_in, AllocError, BlockStrategy};
@@ -266,7 +266,6 @@ pub struct Pipeline {
     merge_chains: bool,
     optimize: bool,
     scope: AllocScope,
-    closure: ClosureMode,
 }
 
 impl Pipeline {
@@ -277,7 +276,6 @@ impl Pipeline {
             merge_chains: false,
             optimize: false,
             scope: AllocScope::Auto,
-            closure: ClosureMode::Auto,
         }
     }
 
@@ -309,21 +307,6 @@ impl Pipeline {
     pub fn with_chain_merging(mut self, enable: bool) -> Pipeline {
         self.merge_chains = enable;
         self
-    }
-
-    /// Sets the reachability backend policy ([`ClosureMode::Auto`] by
-    /// default): which representation the combined strategy's sessions use
-    /// for the transitive closure of each block's dependence graph. Exposed
-    /// as `psc --closure {auto,dense,sparse}` for benchmarking; the output
-    /// is byte-identical under every mode.
-    pub fn with_closure(mut self, mode: ClosureMode) -> Pipeline {
-        self.closure = mode;
-        self
-    }
-
-    /// The configured reachability backend policy.
-    pub fn closure(&self) -> ClosureMode {
-        self.closure
     }
 
     /// The target machine.
@@ -385,10 +368,9 @@ impl Pipeline {
     }
 
     /// [`Pipeline::compile_budgeted`] running inside a caller-owned
-    /// [`AllocSession`]: the dependence graph and transitive closure of the
-    /// combined strategy persist across spill rounds (updated
-    /// incrementally) and across calls, which is how the batch driver
-    /// amortizes PIG construction over a whole module.
+    /// [`AllocSession`]: one session serves every spill round of the
+    /// combined strategy (rebuilt each round) and every call, which is how
+    /// the batch driver keeps PIG scratch buffers warm over a whole module.
     ///
     /// # Errors
     /// Same contract as [`Pipeline::compile_budgeted`].
@@ -656,7 +638,6 @@ impl Pipeline {
         telemetry: &dyn Telemetry,
     ) -> Result<(Function, CompileStats), PipelineError> {
         let mut stats = CompileStats::default();
-        session.set_closure_mode(self.closure);
         let allocated = if !self.uses_webs(func) {
             let s = match strategy {
                 Strategy::AllocThenSched | Strategy::SchedThenAlloc => BlockStrategy::Chaitin,

@@ -71,7 +71,7 @@ pub(crate) fn run(
     // exists at all.
     if !candidates.is_empty() {
         let mut next_slot = 0i64;
-        let (rewritten, inserted, _) = parsched_regalloc::spill::insert_spill_code(
+        let (rewritten, inserted) = parsched_regalloc::spill::insert_spill_code(
             func,
             BlockId(0),
             &candidates,
@@ -93,7 +93,7 @@ pub(crate) fn run(
             } else {
                 let spills: Vec<Reg> = picked.iter().map(|&i| candidates[i]).collect();
                 let mut next_slot = 0i64;
-                let (f, ins, _) = parsched_regalloc::spill::insert_spill_code(
+                let (f, ins) = parsched_regalloc::spill::insert_spill_code(
                     func,
                     BlockId(0),
                     &spills,
@@ -652,11 +652,7 @@ impl BlockCtx {
                 dep_dag.add_edge(i, s);
             }
         }
-        let reach = match parsched_graph::Reachability::build(
-            &dep_dag,
-            parsched_graph::ClosureMode::Auto,
-            None,
-        ) {
+        let reach = match parsched_graph::Reachability::build(&dep_dag, None) {
             Some(r) => r,
             None => unreachable!("no deadline is set"),
         };

@@ -84,8 +84,8 @@ impl BitMatrix {
         &self.rows[i]
     }
 
-    /// Mutably borrows row `i`, for whole-row writes (e.g. incremental
-    /// closure maintenance). Callers must keep the row's capacity at `n`.
+    /// Mutably borrows row `i`, for whole-row writes. Callers must keep the
+    /// row's capacity at `n`.
     pub fn row_mut(&mut self, i: usize) -> &mut BitSet {
         &mut self.rows[i]
     }

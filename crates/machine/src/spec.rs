@@ -106,6 +106,10 @@ pub fn parse_machine_spec(src: &str) -> Result<MachineDesc, SpecError> {
                     return Err(err(ln, "regs needs a count"));
                 };
                 regs = r.parse().map_err(|_| err(ln, format!("bad count `{r}`")))?;
+                if regs == 0 {
+                    // No allocator can color anything with zero registers.
+                    return Err(err(ln, "regs must be at least 1"));
+                }
             }
             "unit" => {
                 let [uname, count] = rest[..] else {
@@ -257,6 +261,7 @@ mod tests {
             ("machine m\nissue lots\n", "bad width"),
             ("machine m\nunit u zero\n", "bad unit count"),
             ("machine m\nunit u 0\n", "must be positive"),
+            ("machine m\nregs 0\n", "regs must be at least 1"),
             ("machine m\nfrobnicate\n", "unknown directive"),
             ("unit u 1\n", "missing `machine"),
             ("machine m\n", "at least one `unit`"),

@@ -103,7 +103,12 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         "compile" => Op::Compile(CompileReq {
             src: field_str(&doc, "src").ok_or("compile needs `src`")?,
             machine: field_str(&doc, "machine").unwrap_or_else(|| "paper".to_string()),
-            regs: field_u64(&doc, "regs").map_or(32, |r| r.min(u32::MAX as u64) as u32),
+            regs: match field_u64(&doc, "regs") {
+                // No allocator can color anything with zero registers.
+                Some(0) => return Err("`regs` must be at least 1".to_string()),
+                Some(r) => r.min(u32::MAX as u64) as u32,
+                None => 32,
+            },
             strategy: field_str(&doc, "strategy").unwrap_or_else(|| "combined".to_string()),
             deadline_ms: field_u64(&doc, "deadline_ms"),
         }),
@@ -179,6 +184,7 @@ mod tests {
             "{\"id\": 1, \"op\": \"reticulate\"}",   // unknown op
             "{\"id\": 1, \"op\": \"compile\"}",      // compile without src
             "{\"id\": 1.5e99999, \"op\": \"ping\"}", // non-finite id
+            "{\"id\": 1, \"op\": \"compile\", \"src\": \"x\", \"regs\": 0}", // zero registers
         ] {
             assert!(parse_request(bad).is_err(), "accepted {bad:?}");
         }

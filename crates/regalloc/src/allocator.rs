@@ -188,10 +188,10 @@ pub fn allocate_single_block(
 }
 
 /// [`allocate_single_block`] running inside a caller-owned
-/// [`AllocSession`], so the dependence graph and transitive closure persist
-/// across spill rounds (updated incrementally, not rebuilt) and warm
-/// allocations persist across functions. The batch driver gives each
-/// worker one session and routes every function through it.
+/// [`AllocSession`], rebuilt from scratch at the top of every spill round,
+/// so its PIG scratch buffers stay warm across rounds and functions. The
+/// batch driver gives each worker one session and routes every function
+/// through it.
 ///
 /// # Errors
 /// Same contract as [`allocate_single_block`].
@@ -241,9 +241,6 @@ pub fn allocate_single_block_in(
     // keeps its register name (def + store), so filtering on the id alone
     // would re-spill it every round.
     let mut spilled_once: std::collections::HashSet<Reg> = std::collections::HashSet::new();
-    // The remap produced by the previous round's spill rewrite, consumed by
-    // the session's incremental closure update at the top of the next round.
-    let mut pending_remap: Option<parsched_sched::BlockRemap> = None;
     // Round-to-round PIG buffer: `build_pig_into` rebuilds in place, so the
     // spill loop stops paying a four-graph reallocation per round.
     let mut pig_slot: Option<Pig> = None;
@@ -286,16 +283,11 @@ pub fn allocate_single_block_in(
             BlockStrategy::Pinter(cfg) => {
                 limits.check_block_insts("pig.build", current.block(block_id).insts().len())?;
                 session.set_deadline(limits.deadline);
-                match pending_remap.take() {
-                    Some(remap) => {
-                        session.rebuild_after_spill(current.block(block_id), &remap, telemetry)?;
-                    }
-                    None => session.begin(current.block(block_id), telemetry)?,
-                }
+                session.begin(current.block(block_id), telemetry)?;
                 session.build_pig_into(&problem, machine, telemetry, &mut pig_slot)?;
                 if pig_slot.is_none() {
-                    // Unreachable after begin/rebuild, but fall back to
-                    // the from-scratch construction rather than panic.
+                    // Unreachable after begin, but fall back to the
+                    // from-scratch construction rather than panic.
                     let deps = DepGraph::build(current.block(block_id), telemetry);
                     pig_slot = Some(Pig::build(&problem, &deps, machine, telemetry));
                 }
@@ -392,7 +384,7 @@ pub fn allocate_single_block_in(
         let spill_regs: Vec<Reg> = spills.iter().map(|&n| problem.nodes()[n]).collect();
         spilled_once.extend(spill_regs.iter().copied());
         spilled_values += spill_regs.len();
-        let (rewritten, inserted, remap) = crate::spill::insert_spill_code(
+        let (rewritten, inserted) = crate::spill::insert_spill_code(
             &current,
             block_id,
             &spill_regs,
@@ -400,7 +392,6 @@ pub fn allocate_single_block_in(
             telemetry,
         );
         inserted_mem_ops += inserted;
-        pending_remap = Some(remap);
         current = rewritten;
     }
     Err(AllocError::TooManyRounds { limit: max_rounds })

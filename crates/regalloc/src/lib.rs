@@ -19,8 +19,8 @@
 //! * [`global`] — the inter-block extension: webs as vertices, region-wide
 //!   false-dependence edges;
 //! * [`AllocSession`] — a reusable session holding the dependence graph and
-//!   incrementally-maintained closure across spill rounds and functions,
-//!   deriving the PIG from closure rows instead of rebuilding it.
+//!   its closure, rebuilt every spill round, deriving the PIG from closure
+//!   rows instead of materializing `Et`/`Ef`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,25 +1,23 @@
 //! Reusable allocation sessions.
 //!
 //! An [`AllocSession`] wraps a [`SchedSession`] (the dependence graph and
-//! its incrementally-maintained transitive closure) and derives the PIG
-//! from the closure *rows* directly, without ever materializing the dense
-//! `Et`/`Ef` graphs that [`crate::Pig::build`] constructs from scratch.
-//! Across a spill loop this replaces the per-round `O(n³)` closure plus
-//! `O(n²)` complement with an incremental closure update and a row walk
-//! restricted to defining instructions — the tentpole of making the
-//! combined strategy competitive in compile time.
+//! its transitive closure) and derives the PIG from the closure *rows*
+//! directly, without ever materializing the dense `Et`/`Ef` graphs that
+//! [`crate::Pig::build`] constructs: a row walk restricted to defining
+//! instructions.
 //!
-//! The session is reusable across functions: [`AllocSession::begin`] fully
-//! resets it for a new block while keeping allocations warm, which is what
-//! the batch driver's per-worker sessions rely on.
+//! The session is reusable across spill rounds and functions:
+//! [`AllocSession::begin`] rebuilds it for each (rewritten or new) block,
+//! while the pooled PIG buffers stay warm, which is what the allocator's
+//! spill loop and the batch driver's per-worker sessions rely on.
 
 use crate::limits::BudgetExceeded;
 use crate::pig::Pig;
 use crate::problem::BlockAllocProblem;
-use parsched_graph::{BitSet, ClosureMode, UnGraph, DEADLINE_STRIDE};
+use parsched_graph::{BitSet, UnGraph, DEADLINE_STRIDE};
 use parsched_ir::Block;
 use parsched_machine::{MachineDesc, OpClass};
-use parsched_sched::{BlockRemap, DeadlineExceeded, DepGraph, SchedSession};
+use parsched_sched::{DeadlineExceeded, DepGraph, SchedSession};
 use std::time::Instant;
 
 /// Converts the scheduler's cooperative-deadline trip into the allocator's
@@ -33,14 +31,12 @@ fn deadline_budget(e: DeadlineExceeded) -> BudgetExceeded {
     }
 }
 
-/// Long-lived allocation state for one block, reusable across spill rounds
-/// (via [`AllocSession::rebuild_after_spill`]) and across functions (via
-/// [`AllocSession::begin`]).
+/// Allocation state for one block, reusable across spill rounds and across
+/// functions: [`AllocSession::begin`] rebuilds it for each block.
 ///
-/// Telemetry: closure maintenance reports `pig.full_rebuilds` /
-/// `pig.incremental_nodes` (see [`SchedSession`]); every
-/// [`AllocSession::build_pig`] call bumps `pig.rounds` and reports the
-/// usual `pig.*` construction statistics.
+/// Telemetry: the closure build runs under `closure.build` (see
+/// [`SchedSession`]); every [`AllocSession::build_pig`] call bumps
+/// `pig.rounds` and reports the usual `pig.*` construction statistics.
 #[derive(Debug)]
 pub struct AllocSession {
     sched: SchedSession,
@@ -67,26 +63,15 @@ impl AllocSession {
     }
 
     /// Sets (or clears) the wall-clock deadline polled cooperatively inside
-    /// closure maintenance and [`AllocSession::build_pig`]'s row walk, every
+    /// the closure build and [`AllocSession::build_pig`]'s row walk, every
     /// ~[`DEADLINE_STRIDE`] units of work.
     pub fn set_deadline(&mut self, deadline: Option<Instant>) {
         self.sched.set_deadline(deadline);
     }
 
-    /// Sets the reachability backend policy (see
-    /// [`parsched_sched::SchedSession::set_closure_mode`]); takes effect at
-    /// the next [`AllocSession::begin`].
-    pub fn set_closure_mode(&mut self, mode: ClosureMode) {
-        self.sched.set_closure_mode(mode);
-    }
-
-    /// The configured reachability backend policy.
-    pub fn closure_mode(&self) -> ClosureMode {
-        self.sched.closure_mode()
-    }
-
-    /// Starts a fresh block: full dependence-graph and closure build. Also
-    /// the reset between functions when a session is reused.
+    /// Starts a block: builds its dependence graph and closure from
+    /// scratch. Called for a fresh block, at the top of every spill round,
+    /// and as the reset between functions when a session is reused.
     ///
     /// # Errors
     /// Returns [`BudgetExceeded`] if the session deadline (see
@@ -98,23 +83,6 @@ impl AllocSession {
         telemetry: &dyn parsched_telemetry::Telemetry,
     ) -> Result<(), BudgetExceeded> {
         self.sched.build(block, telemetry).map_err(deadline_budget)
-    }
-
-    /// Updates the session after a spill round rewrote the block, reusing
-    /// closure rows the inserted loads/stores did not dirty. Falls back to
-    /// a full build when the remap does not match the stored state.
-    ///
-    /// # Errors
-    /// Returns [`BudgetExceeded`] if the session deadline passes mid-rebuild.
-    pub fn rebuild_after_spill(
-        &mut self,
-        block: &Block,
-        remap: &BlockRemap,
-        telemetry: &dyn parsched_telemetry::Telemetry,
-    ) -> Result<(), BudgetExceeded> {
-        self.sched
-            .rebuild_after_spill(block, remap, telemetry)
-            .map_err(deadline_budget)
     }
 
     /// The current dependence graph, if a block has been built.
@@ -253,8 +221,7 @@ impl AllocSession {
                 });
             }
             // ef_row(i) = defs \ reach(i) \ reach⁻¹(i) \ conflicts(i) \ {i};
-            // the engine answers the first three in one query, whichever
-            // backend it holds.
+            // the engine answers the first three in one query.
             reach.unordered_into(i, &def_mask, &mut self.scratch);
             self.scratch
                 .difference_with(&conflict_rows[conflict_idx[i]]);

@@ -8,18 +8,14 @@
 //! easier to color.
 
 use parsched_ir::{Block, BlockId, Function, Inst, InstKind, MemAddr, Reg};
-use parsched_sched::BlockRemap;
 use std::collections::HashMap;
 
 /// The reserved global region that holds spilled values.
 pub const SPILL_REGION: &str = "__spill";
 
 /// Allocates spill slots and rewrites one block of `func`, spilling the
-/// given symbolic registers. Returns the rewritten function, the number of
-/// memory operations inserted, and a [`BlockRemap`] from old to new body
-/// positions (every original instruction survives the rewrite, so the map
-/// is total) that lets a [`parsched_sched::SchedSession`] update its
-/// closure incrementally instead of rebuilding from scratch.
+/// given symbolic registers. Returns the rewritten function and the number
+/// of memory operations inserted.
 ///
 /// `next_slot` is the next free slot index; it is advanced so repeated
 /// spill rounds never reuse a slot.
@@ -37,7 +33,7 @@ pub fn insert_spill_code(
     spills: &[Reg],
     next_slot: &mut i64,
     telemetry: &dyn parsched_telemetry::Telemetry,
-) -> (Function, usize, BlockRemap) {
+) -> (Function, usize) {
     let _span = parsched_telemetry::span(telemetry, "spill.rewrite");
     if telemetry.enabled() {
         telemetry.counter("spill.values", spills.len() as u64);
@@ -53,8 +49,6 @@ pub fn insert_spill_code(
     let mut inserted = 0usize;
 
     let old_block = func.block(block_id);
-    let old_body_len = old_block.body().len();
-    let mut old_to_new: Vec<usize> = Vec::with_capacity(old_body_len);
     let mut new_block = Block::new(old_block.label());
 
     // Live-in spills (parameters or upstream values): store on entry.
@@ -70,7 +64,7 @@ pub fn insert_spill_code(
         }
     }
 
-    for (old_pos, inst) in old_block.insts().iter().enumerate() {
+    for inst in old_block.insts() {
         // Reload each spilled use into a fresh register.
         let mut replacement: HashMap<Reg, Reg> = HashMap::new();
         for u in inst.uses() {
@@ -99,9 +93,6 @@ pub fn insert_spill_code(
             });
         }
         let defs = rewritten.defs();
-        if old_pos < old_body_len {
-            old_to_new.push(new_block.insts().len());
-        }
         new_block.push(rewritten);
         // Store each spilled definition right after it.
         for d in defs {
@@ -116,7 +107,6 @@ pub fn insert_spill_code(
         }
     }
 
-    let remap = BlockRemap::new(old_to_new, new_block.body().len());
     let mut blocks = func.blocks().to_vec();
     blocks[block_id.0] = new_block;
     if telemetry.enabled() {
@@ -125,7 +115,6 @@ pub fn insert_spill_code(
     (
         Function::new(func.name(), func.params().to_vec(), blocks),
         inserted,
-        remap,
     )
 }
 
@@ -215,7 +204,7 @@ mod tests {
         )
         .unwrap();
         let mut slot = 0;
-        let (g, inserted, remap) = insert_spill_code(
+        let (g, inserted) = insert_spill_code(
             &f,
             BlockId(0),
             &[Reg::sym(1)],
@@ -226,15 +215,6 @@ mod tests {
         // One store after the def + two reloads.
         assert_eq!(inserted, 3);
         assert_eq!(g.inst_count(), f.inst_count() + 3);
-        // The remap tracks every surviving body instruction: old body
-        // position p holds the same opcode/def as new position remap(p).
-        let old_body = f.block(BlockId(0)).body();
-        let new_body = g.block(BlockId(0)).body();
-        assert_eq!(remap.old_len(), old_body.len());
-        assert_eq!(remap.new_len(), new_body.len());
-        for (p, inst) in old_body.iter().enumerate() {
-            assert_eq!(inst.defs(), new_body[remap.new_pos(p)].defs());
-        }
         // Semantics preserved.
         let i = Interpreter::new();
         let before = i.run(&f, &[10], Memory::new()).unwrap();
@@ -256,7 +236,7 @@ mod tests {
         )
         .unwrap();
         let mut slot = 5;
-        let (g, inserted, _) = insert_spill_code(
+        let (g, inserted) = insert_spill_code(
             &f,
             BlockId(0),
             &[Reg::sym(0)],
@@ -290,7 +270,7 @@ mod tests {
         )
         .unwrap();
         let mut slot = 0;
-        let (g, _, _) = insert_spill_code(
+        let (g, _) = insert_spill_code(
             &f,
             BlockId(0),
             &[Reg::sym(1), Reg::sym(2)],
@@ -324,7 +304,7 @@ mod tests {
         )
         .unwrap();
         let mut slot = 0;
-        let (g, _, _) = insert_spill_code(
+        let (g, _) = insert_spill_code(
             &f,
             BlockId(0),
             &[Reg::sym(1), Reg::sym(2)],
@@ -354,7 +334,7 @@ mod tests {
         )
         .unwrap();
         let mut slot = 0;
-        let (g, _, _) = insert_spill_code(
+        let (g, _) = insert_spill_code(
             &f,
             BlockId(0),
             &[Reg::sym(1), Reg::sym(2)],
@@ -388,7 +368,7 @@ mod tests {
             unreachable!("fixture parses")
         };
         let mut slot = 0;
-        let (g, _, _) = insert_spill_code(
+        let (g, _) = insert_spill_code(
             &f,
             BlockId(0),
             &[Reg::sym(0), Reg::sym(1)],
@@ -426,7 +406,7 @@ mod tests {
         let lv = Liveness::compute(&f, &[]);
         let before = lv.block_pressure(&f, BlockId(0));
         let mut slot = 0;
-        let (g, _, _) = insert_spill_code(
+        let (g, _) = insert_spill_code(
             &f,
             BlockId(0),
             &[Reg::sym(0)],
@@ -451,7 +431,7 @@ mod tests {
         )
         .unwrap();
         let mut slot = 0;
-        let (g, _, _) = insert_spill_code(
+        let (g, _) = insert_spill_code(
             &f,
             BlockId(0),
             &[Reg::sym(0)],

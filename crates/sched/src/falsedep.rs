@@ -13,7 +13,7 @@
 //!   scheduling graph is a false dependence iff `{u,v} ∈ Ef`).
 
 use crate::deps::{DepEdge, DepGraph};
-use parsched_graph::{ClosureMode, FastMap, Reachability, UnGraph, DEADLINE_STRIDE};
+use parsched_graph::{FastMap, Reachability, UnGraph, DEADLINE_STRIDE};
 use parsched_ir::{Block, Inst, Reg};
 use parsched_machine::MachineDesc;
 use std::time::Instant;
@@ -49,11 +49,11 @@ pub fn et_graph_until(
     machine: &MachineDesc,
     deadline: Option<Instant>,
 ) -> Option<UnGraph> {
-    let reach = Reachability::build(deps.graph(), ClosureMode::Auto, deadline)?;
+    let reach = Reachability::build(deps.graph(), deadline)?;
     let n = deps.len();
     let mut et = UnGraph::new(n);
     for u in 0..n {
-        // Unlike the closure's cheap label/row propagation (polled every
+        // Unlike the closure's cheap row propagation (polled every
         // DEADLINE_STRIDE units of work), each row here enumerates the
         // closure row and makes O(n) pairwise_conflict calls, so one
         // clock read per row is already invisible.
@@ -278,7 +278,7 @@ pub fn count_false_deps_in(
     let sym_deps = DepGraph::build_until(&renamed, telemetry, deadline)?;
     let reach = {
         let _span = parsched_telemetry::span(telemetry, "closure.build");
-        Reachability::build(sym_deps.graph(), ClosureMode::Auto, deadline)?
+        Reachability::build(sym_deps.graph(), deadline)?
     };
     count_false_edges(own_deps, &reach, machine, deadline, telemetry)
 }

@@ -16,8 +16,7 @@
 //!   false-dependence graph, Lemma 1), and detection of false dependences
 //!   introduced by a register allocation;
 //! * [`SchedSession`] — a reusable session owning the dependence graph and
-//!   closure bit-matrix across spill rounds, with exact incremental closure
-//!   maintenance guided by a [`BlockRemap`];
+//!   its reachability relation, rebuilt from scratch every spill round;
 //! * [`region`] — dominator/post-dominator *plausible pair* region
 //!   formation for inter-block scheduling.
 
@@ -36,4 +35,4 @@ mod session;
 pub use deps::{op_class, DepEdge, DepGraph, DepKind};
 pub use list::{list_schedule, SchedPriority};
 pub use schedule::{BlockSchedule, SchedError, ScheduleError};
-pub use session::{BlockRemap, DeadlineExceeded, SchedSession};
+pub use session::{DeadlineExceeded, SchedSession};

@@ -1,40 +1,29 @@
 //! Reusable scheduling sessions.
 //!
-//! A [`SchedSession`] owns the long-lived per-block state of Pinter's
-//! construction — the dependence graph `Gs` and its reachability relation —
-//! across spill rounds and across functions. A fresh block enters via
-//! [`SchedSession::build`] (full closure construction); after a spill round
-//! rewrites the block, [`SchedSession::rebuild_after_spill`] reuses whatever
-//! the inserted loads/stores did not dirty, guided by a [`BlockRemap`] from
-//! old to new body positions.
-//!
-//! The reachability relation itself lives behind
+//! A [`SchedSession`] owns the per-block state of Pinter's construction —
+//! the dependence graph `Gs` and its reachability relation — and is reused
+//! across spill rounds and across functions. Each round (and each fresh
+//! block) enters via [`SchedSession::build`], which rebuilds both from
+//! scratch; the relation itself lives behind
 //! [`parsched_graph::Reachability`], which answers point queries, row
-//! enumeration, and unordered-pair enumeration without committing callers to
-//! a dense bit-matrix: the backend (dense rows or a sparse chain cover) is
-//! chosen per block by the session's [`ClosureMode`]. Either backend is
-//! maintained exactly, not approximately: the result of a rebuild is always
-//! equal to a from-scratch construction over the new block, which the
-//! property suite in `tests/sessions.rs` checks against hundreds of seeded
-//! cases under both backends.
+//! enumeration, and unordered-pair enumeration.
 
 use crate::deps::DepGraph;
-use parsched_graph::{ClosureMode, Reachability, Rebuilt};
+use parsched_graph::Reachability;
 use parsched_ir::Block;
 use std::fmt;
 use std::time::Instant;
 
 /// The session's wall-clock deadline passed mid-build.
 ///
-/// Closure maintenance is the longest uninterruptible loop in the
-/// pipeline; both reachability backends poll the clock every
-/// ~[`parsched_graph::DEADLINE_STRIDE`] units of work so a deadline set via
-/// [`SchedSession::set_deadline`] trips within a bounded slice of work
-/// instead of after a whole rung. The caller (the allocator's budget
+/// The closure build is the longest uninterruptible loop in the pipeline;
+/// it polls the clock every ~[`parsched_graph::DEADLINE_STRIDE`] units of
+/// work so a deadline set via [`SchedSession::set_deadline`] trips within a
+/// bounded slice of work instead of after a whole rung. The caller (the allocator's budget
 /// machinery) converts this into its typed budget error.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DeadlineExceeded {
-    /// The loop that tripped (`"closure.build"` or `"closure.rebuild"`).
+    /// The loop that tripped (`"closure.build"`).
     pub phase: &'static str,
 }
 
@@ -46,75 +35,15 @@ impl fmt::Display for DeadlineExceeded {
 
 impl std::error::Error for DeadlineExceeded {}
 
-/// Maps old body positions to new body positions across a spill rewrite.
+/// Scheduling state for one block, reusable across spill rounds and across
+/// functions: every [`SchedSession::build`] replaces it.
 ///
-/// Spill rewriting preserves every original instruction (reloads are
-/// inserted before uses, stores after definitions), so the map is total
-/// and strictly increasing.
-#[derive(Debug, Clone)]
-pub struct BlockRemap {
-    old_to_new: Vec<usize>,
-    new_len: usize,
-}
-
-impl BlockRemap {
-    /// Builds a remap from the explicit old-position → new-position table.
-    ///
-    /// # Panics
-    /// Panics if any mapped position is out of range of `new_len`.
-    pub fn new(old_to_new: Vec<usize>, new_len: usize) -> BlockRemap {
-        assert!(
-            old_to_new.iter().all(|&p| p < new_len),
-            "remapped position out of range"
-        );
-        BlockRemap {
-            old_to_new,
-            new_len,
-        }
-    }
-
-    /// The identity remap over `n` positions.
-    pub fn identity(n: usize) -> BlockRemap {
-        BlockRemap {
-            old_to_new: (0..n).collect(),
-            new_len: n,
-        }
-    }
-
-    /// Number of old body positions.
-    pub fn old_len(&self) -> usize {
-        self.old_to_new.len()
-    }
-
-    /// Number of new body positions.
-    pub fn new_len(&self) -> usize {
-        self.new_len
-    }
-
-    /// The new position of old body position `old`.
-    pub fn new_pos(&self, old: usize) -> usize {
-        self.old_to_new[old]
-    }
-
-    /// The old → new table.
-    pub fn table(&self) -> &[usize] {
-        &self.old_to_new
-    }
-}
-
-/// Long-lived scheduling state for one block, reusable across spill rounds
-/// and (after [`SchedSession::build`] on a new block) across functions.
-///
-/// Telemetry: every full closure construction bumps `pig.full_rebuilds` and
-/// emits a `closure.backend` event (plus a `closure.chains` counter when the
-/// sparse backend is chosen); every incremental rebuild bumps
-/// `pig.incremental_nodes` by the number of rows actually recomputed.
+/// Telemetry: every closure build runs under a `closure.build` span.
 #[derive(Debug)]
 pub struct SchedSession {
     deps: Option<DepGraph>,
     reach: Reachability,
-    mode: ClosureMode,
-    /// Cooperative wall-clock deadline for closure maintenance.
+    /// Cooperative wall-clock deadline for the closure build.
     deadline: Option<Instant>,
 }
 
@@ -125,32 +54,18 @@ impl Default for SchedSession {
 }
 
 impl SchedSession {
-    /// Creates an empty session with the [`ClosureMode::Auto`] backend.
+    /// Creates an empty session.
     pub fn new() -> SchedSession {
         SchedSession {
             deps: None,
             reach: Reachability::new(),
-            mode: ClosureMode::Auto,
             deadline: None,
         }
     }
 
-    /// Sets the backend selection policy for subsequent builds. The backend
-    /// is sticky per block: changing the mode takes effect at the next
-    /// [`SchedSession::build`], not mid-spill-loop.
-    pub fn set_closure_mode(&mut self, mode: ClosureMode) {
-        self.mode = mode;
-    }
-
-    /// The configured backend selection policy.
-    pub fn closure_mode(&self) -> ClosureMode {
-        self.mode
-    }
-
-    /// Sets (or clears) the wall-clock deadline the closure loops poll
-    /// cooperatively. Checked every ~[`parsched_graph::DEADLINE_STRIDE`]
-    /// units of work inside [`SchedSession::build`] and
-    /// [`SchedSession::rebuild_after_spill`].
+    /// Sets (or clears) the wall-clock deadline the closure build polls
+    /// cooperatively, every ~[`parsched_graph::DEADLINE_STRIDE`] units of
+    /// work inside [`SchedSession::build`].
     pub fn set_deadline(&mut self, deadline: Option<Instant>) {
         self.deadline = deadline;
     }
@@ -160,27 +75,9 @@ impl SchedSession {
         self.deadline
     }
 
-    /// Empties the session so a failed build cannot leave half-written
-    /// closure state behind: the next use must `build` from scratch.
-    fn reset(&mut self) {
-        self.deps = None;
-        self.reach = Reachability::new();
-    }
-
-    fn report_build(&self, telemetry: &dyn parsched_telemetry::Telemetry) {
-        if !telemetry.enabled() {
-            return;
-        }
-        telemetry.counter("pig.full_rebuilds", 1);
-        telemetry.event("closure.backend", self.reach.backend_label());
-        let chains = self.reach.chain_count();
-        if chains > 0 {
-            telemetry.counter("closure.chains", chains as u64);
-        }
-    }
-
-    /// Rebuilds everything from scratch for `block` — the entry point for a
-    /// fresh block (and the reset between functions).
+    /// Rebuilds everything from scratch for `block`: the entry point for a
+    /// fresh block, for each spill round's rewritten block, and the reset
+    /// between functions.
     ///
     /// # Errors
     /// Returns [`DeadlineExceeded`] when the session deadline (see
@@ -194,76 +91,17 @@ impl SchedSession {
         let deps = DepGraph::build(block, telemetry);
         let reach = {
             let _s = parsched_telemetry::span(telemetry, "closure.build");
-            Reachability::build(deps.graph(), self.mode, self.deadline)
+            Reachability::build(deps.graph(), self.deadline)
         };
         let Some(reach) = reach else {
-            self.reset();
+            self.deps = None;
+            self.reach = Reachability::new();
             return Err(DeadlineExceeded {
                 phase: "closure.build",
             });
         };
         self.reach = reach;
         self.deps = Some(deps);
-        self.report_build(telemetry);
-        Ok(())
-    }
-
-    /// Rebuilds after a spill round rewrote the block, reusing whatever
-    /// reachability state the inserted instructions did not dirty.
-    ///
-    /// `remap` must map the previous block's body positions to `block`'s.
-    /// If the session has no previous state or the remap lengths do not
-    /// match the stored state, this falls back to a full
-    /// [`SchedSession::build`]; if the new graph is cyclic (impossible for
-    /// graphs built from blocks, possible for hand-made ones) the engine
-    /// itself rebuilds from scratch.
-    ///
-    /// # Errors
-    /// Returns [`DeadlineExceeded`] when the session deadline passes
-    /// mid-rebuild (polled every ~[`parsched_graph::DEADLINE_STRIDE`] units
-    /// of work); the session is left empty.
-    pub fn rebuild_after_spill(
-        &mut self,
-        block: &Block,
-        remap: &BlockRemap,
-        telemetry: &dyn parsched_telemetry::Telemetry,
-    ) -> Result<(), DeadlineExceeded> {
-        let n = block.body().len();
-        let usable =
-            self.deps.is_some() && self.reach.len() == remap.old_len() && remap.new_len() == n;
-        if !usable {
-            return self.build(block, telemetry);
-        }
-        let prev_deps = match self.deps.take() {
-            Some(d) => d,
-            None => unreachable!("checked above"),
-        };
-        let deps = DepGraph::build(block, telemetry);
-        let outcome = {
-            let _s = parsched_telemetry::span(telemetry, "closure.build");
-            self.reach.rebuild(
-                prev_deps.graph(),
-                deps.graph(),
-                remap.table(),
-                self.deadline,
-            )
-        };
-        let Some(outcome) = outcome else {
-            self.reset();
-            return Err(DeadlineExceeded {
-                phase: "closure.rebuild",
-            });
-        };
-        drop(prev_deps);
-        self.deps = Some(deps);
-        match outcome {
-            Rebuilt::Incremental { recomputed } => {
-                if telemetry.enabled() {
-                    telemetry.counter("pig.incremental_nodes", recomputed);
-                }
-            }
-            Rebuilt::Full => self.report_build(telemetry),
-        }
         Ok(())
     }
 
@@ -291,6 +129,17 @@ mod tests {
         }
     }
 
+    /// Asserts the session's relation equals the closure of `b`'s
+    /// dependence graph, row by row.
+    fn assert_closure_of(sess: &SchedSession, b: &Block) {
+        let reference = DepGraph::build(b, &NullTelemetry).graph().reachability();
+        let reach = sess.reachability();
+        assert_eq!(reach.len(), reference.size());
+        for i in 0..reach.len() {
+            assert!(reach.row_iter(i).eq(reference.row(i).iter()), "row {i}");
+        }
+    }
+
     #[test]
     fn full_build_matches_reachability() {
         let b = block(
@@ -306,12 +155,11 @@ mod tests {
         );
         let mut sess = SchedSession::new();
         assert!(sess.build(&b, &NullTelemetry).is_ok());
-        let reference = DepGraph::build(&b, &NullTelemetry).graph().reachability();
-        assert_eq!(sess.reachability().to_dense(), reference);
+        assert_closure_of(&sess, &b);
     }
 
     #[test]
-    fn incremental_rebuild_is_exact_after_insertions() {
+    fn rebuild_after_insertions_is_exact() {
         let old = block(
             r#"
             func @f(s0) {
@@ -323,8 +171,8 @@ mod tests {
             }
             "#,
         );
-        // Simulate a spill rewrite: a store after inst 0 and a reload
-        // before inst 2 (old positions 0,1,2 → 0,2,4).
+        // The same block after a spill rewrite: a store after inst 0 and a
+        // reload before inst 2. Building it replaces the old state.
         let new = block(
             r#"
             func @f(s0) {
@@ -338,29 +186,10 @@ mod tests {
             }
             "#,
         );
-        for mode in [ClosureMode::Auto, ClosureMode::Dense, ClosureMode::Sparse] {
-            let mut sess = SchedSession::new();
-            sess.set_closure_mode(mode);
-            assert!(sess.build(&old, &NullTelemetry).is_ok());
-            let remap = BlockRemap::new(vec![0, 2, 4], 5);
-            assert!(sess
-                .rebuild_after_spill(&new, &remap, &NullTelemetry)
-                .is_ok());
-            let reference = DepGraph::build(&new, &NullTelemetry).graph().reachability();
-            assert_eq!(sess.reachability().to_dense(), reference, "{mode}");
-        }
-    }
-
-    #[test]
-    fn mismatched_remap_falls_back_to_full_build() {
-        let b = block("func @g() {\nentry:\n    s0 = li 1\n    ret s0\n}");
         let mut sess = SchedSession::new();
-        // No prior state: rebuild_after_spill must still produce a correct
-        // closure via the full-build fallback.
-        let remap = BlockRemap::identity(0);
-        assert!(sess.rebuild_after_spill(&b, &remap, &NullTelemetry).is_ok());
-        let reference = DepGraph::build(&b, &NullTelemetry).graph().reachability();
-        assert_eq!(sess.reachability().to_dense(), reference);
+        assert!(sess.build(&old, &NullTelemetry).is_ok());
+        assert!(sess.build(&new, &NullTelemetry).is_ok());
+        assert_closure_of(&sess, &new);
     }
 
     #[test]
@@ -373,24 +202,21 @@ mod tests {
         }
         src.push_str("    ret s1500\n}");
         let b = block(&src);
-        for mode in [ClosureMode::Dense, ClosureMode::Sparse] {
-            let mut sess = SchedSession::new();
-            sess.set_closure_mode(mode);
-            sess.set_deadline(Some(Instant::now() - std::time::Duration::from_millis(1)));
-            let err = sess.build(&b, &NullTelemetry);
-            assert_eq!(
-                err,
-                Err(DeadlineExceeded {
-                    phase: "closure.build"
-                }),
-                "{mode}"
-            );
-            // The failed build leaves no half-built state behind.
-            assert!(sess.deps().is_none());
-            // Clearing the deadline makes the same block build fine.
-            sess.set_deadline(None);
-            assert!(sess.build(&b, &NullTelemetry).is_ok());
-            assert!(sess.deps().is_some());
-        }
+        let mut sess = SchedSession::new();
+        sess.set_deadline(Some(Instant::now() - std::time::Duration::from_millis(1)));
+        let err = sess.build(&b, &NullTelemetry);
+        assert_eq!(
+            err,
+            Err(DeadlineExceeded {
+                phase: "closure.build"
+            })
+        );
+        // The failed build leaves no half-built state behind.
+        assert!(sess.deps().is_none());
+        assert!(sess.reachability().is_empty());
+        // Clearing the deadline makes the same block build fine.
+        sess.set_deadline(None);
+        assert!(sess.build(&b, &NullTelemetry).is_ok());
+        assert!(sess.deps().is_some());
     }
 }

@@ -341,35 +341,57 @@ pub fn value_deps(view: &ValueView) -> Vec<Vec<usize>> {
 /// The undirected reachability relation of a forward DAG adjacency plus
 /// pairwise machine conflicts — the paper's `Et`. `et[i]` holds every `j`
 /// (any direction) that can never issue in the same cycle as `i` for
-/// *true*-dependence or structural reasons.
+/// *true*-dependence or structural reasons. `succ` must point forward
+/// (every `j` in `succ[i]` is `> i`), as [`value_deps`] builds it.
 pub fn et_pairs(succ: &[Vec<usize>], classes: &[OpClass], machine: &MachineDesc) -> Vec<Vec<bool>> {
     let n = succ.len();
-    let mut g = parsched_graph::DiGraph::new(n);
-    for (i, js) in succ.iter().enumerate() {
-        for &j in js {
-            g.add_edge(i, j);
-        }
-    }
-    // The checker deliberately goes through the same Reachability engine as
-    // the pipeline (Auto backend) — the engine's own property suite pins
-    // sparse ≡ dense, and the checker only consumes the query interface.
-    let reach =
-        match parsched_graph::Reachability::build(&g, parsched_graph::ClosureMode::Auto, None) {
-            Some(r) => r,
-            None => unreachable!("no deadline is set"),
-        };
+    // The closure is computed here on purpose instead of through the
+    // pipeline's `parsched_graph::Reachability`: the duplication keeps the
+    // checker independent of the engine it checks. Edges point forward, so
+    // walking rows in reverse index order finds each successor's row
+    // complete before it is unioned in.
     let mut et = vec![vec![false; n]; n];
-    for i in 0..n {
-        for j in reach.row_iter(i) {
-            et[i][j] = true;
-            et[j][i] = true;
-        }
-        for j in (i + 1)..n {
-            if machine.pairwise_conflict(classes[i], classes[j]) {
-                et[i][j] = true;
-                et[j][i] = true;
+    for i in (0..n).rev() {
+        for &j in &succ[i] {
+            debug_assert!(j > i, "value_deps edges point forward");
+            let (lo, hi) = et.split_at_mut(j);
+            lo[i][j] = true;
+            for (reached, &via) in lo[i][j + 1..].iter_mut().zip(&hi[0][j + 1..]) {
+                *reached |= via;
             }
         }
     }
+    for i in 0..n {
+        for j in (i + 1)..n {
+            let e = et[i][j] || machine.pairwise_conflict(classes[i], classes[j]);
+            et[i][j] = e;
+            et[j][i] = e;
+        }
+    }
     et
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use parsched_machine::presets;
+
+    #[test]
+    fn et_pairs_include_transitive_only_pairs() {
+        // 0 -> 1 -> 2, and 3 unordered with all of them. No edge joins 0
+        // and 2 directly; only the closure orders them.
+        let succ = vec![vec![1], vec![2], vec![], vec![]];
+        let classes = [OpClass::IntAlu; 4];
+        let et = et_pairs(&succ, &classes, &presets::wide(4, 8));
+        assert!(et[0][2] && et[2][0], "transitive pair is in Et");
+        assert!(et[0][1] && et[1][2]);
+        assert!(
+            (0..3).all(|i| !et[i][3] && !et[3][i]),
+            "4 units: no conflicts"
+        );
+        assert!((0..4).all(|i| !et[i][i]));
+        // One fixed-point unit: every IntAlu pair conflicts.
+        let et = et_pairs(&succ, &classes, &presets::paper_machine(8));
+        assert!(et[0][3] && et[3][0]);
+    }
 }

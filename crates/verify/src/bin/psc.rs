@@ -33,8 +33,7 @@ use parsched::telemetry::{
     SyncFanout, Telemetry,
 };
 use parsched::{
-    AllocScope, BatchDriver, Budget, ClosureMode, CompileResult, Driver, ParschedError, Pipeline,
-    Strategy,
+    AllocScope, BatchDriver, Budget, CompileResult, Driver, ParschedError, Pipeline, Strategy,
 };
 use parsched_verify::Verifier;
 use std::process::ExitCode;
@@ -55,13 +54,9 @@ options:
                          docs/GLOBAL.md)
   --per-block            baseline: block-local webs share registers but
                          every cross-block web gets a dedicated one
-  --closure auto|dense|sparse   reachability backend for the scheduling
-                         closure (default auto: density heuristic per
-                         block); output is byte-identical either way —
-                         see docs/REACHABILITY.md
   --machine single|paper|mips|rs6000|wide4      (default paper)
   --machine-spec FILE    load a textual machine description instead
-  --regs N               override the register-file size
+  --regs N               override the register-file size (N >= 1)
   --emit text|schedule|stats|json|dot           (default text)
                          dot renders block 0's parallelizable interference
                          graph (false-dependence edges dashed);
@@ -126,7 +121,6 @@ struct Options {
     flight_json: Option<String>,
     dump_dir: Option<String>,
     scope: AllocScope,
-    closure: ClosureMode,
     verify: bool,
     run: Option<Vec<i64>>,
 }
@@ -234,7 +228,6 @@ fn parse_args() -> Result<Cmd, String> {
     let mut flight_json: Option<String> = None;
     let mut dump_dir: Option<String> = None;
     let mut scope = AllocScope::Auto;
-    let mut closure = ClosureMode::Auto;
     let mut verify = false;
     let mut run: Option<Vec<i64>> = None;
     let mut exact_max_insts: Option<usize> = None;
@@ -273,7 +266,12 @@ fn parse_args() -> Result<Cmd, String> {
             }
             "--regs" => {
                 let v = args.next().ok_or("--regs needs a value")?;
-                regs = Some(v.parse().map_err(|_| format!("bad register count `{v}`"))?);
+                match v.parse() {
+                    // No allocator can color anything with zero registers.
+                    Ok(0) => return Err("--regs must be at least 1".to_string()),
+                    Ok(r) => regs = Some(r),
+                    Err(_) => return Err(format!("bad register count `{v}`")),
+                }
             }
             "--emit" => {
                 let v = args.next().ok_or("--emit needs a value")?;
@@ -330,10 +328,6 @@ fn parse_args() -> Result<Cmd, String> {
                 }
                 scope = AllocScope::PerBlock;
             }
-            "--closure" => {
-                let v = args.next().ok_or("--closure needs a value")?;
-                closure = v.parse().map_err(|e| format!("{e}"))?;
-            }
             "--verify" => verify = true,
             "--run" => {
                 let rest: Result<Vec<i64>, _> = args.by_ref().map(|a| a.parse()).collect();
@@ -369,7 +363,6 @@ fn parse_args() -> Result<Cmd, String> {
         flight_json,
         dump_dir,
         scope,
-        closure,
         verify,
         run,
     })))
@@ -397,9 +390,7 @@ fn real_main(opts: Options) -> Result<(), Failure> {
         Some(r) => opts.machine.with_num_regs(r),
         None => opts.machine.clone(),
     };
-    let pipeline = Pipeline::new(machine.clone())
-        .with_scope(opts.scope)
-        .with_closure(opts.closure);
+    let pipeline = Pipeline::new(machine.clone()).with_scope(opts.scope);
     let mut budget = Budget::unlimited();
     if let Some(n) = opts.max_insts {
         budget = budget.with_max_block_insts(n);
@@ -663,13 +654,9 @@ fn batch_main(opts: Options, funcs: Vec<Function>) -> Result<(), Failure> {
     } else {
         vec![opts.strategy]
     };
-    let driver = Driver::new(
-        Pipeline::new(machine.clone())
-            .with_scope(opts.scope)
-            .with_closure(opts.closure),
-    )
-    .with_budget(budget)
-    .with_ladder(ladder);
+    let driver = Driver::new(Pipeline::new(machine.clone()).with_scope(opts.scope))
+        .with_budget(budget)
+        .with_ladder(ladder);
     let batch = BatchDriver::new(driver)
         .with_jobs(opts.jobs.unwrap_or(1))
         .with_recording(opts.recording());

@@ -390,6 +390,20 @@ fn psc_verify_batch_end_to_end() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `psc --regs 0` is a usage error (exit 2), rejected before any compile
+/// starts: no allocator can make progress without a register.
+#[test]
+fn psc_rejects_zero_registers() {
+    let kernels = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/kernels.psc");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_psc"))
+        .args([kernels, "--regs", "0", "--emit", "stats"])
+        .output()
+        .expect("psc runs");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("--regs must be at least 1"), "{stderr}");
+}
+
 /// The differential oracle walks control flow: on seeded *loopy* functions
 /// (CFGs with a back edge), every ladder rung under every allocation scope
 /// produces output the full checker suite — oracle included — accepts.
