@@ -567,8 +567,8 @@ impl Pipeline {
     /// `sched.block` event) and a `sched.block_cycles` counter per block.
     ///
     /// # Errors
-    /// Returns [`SchedError`] when a block's dependence graph is cyclic or
-    /// the scheduler produces an invalid schedule.
+    /// Returns [`SchedError`] when the scheduler produces an invalid
+    /// schedule.
     pub fn schedule_blocks_measured(
         &self,
         func: &Function,

@@ -582,11 +582,7 @@ impl BlockCtx {
             succs[e.from].push((e.to, l));
             pred_mask[e.to] |= 1 << e.from;
         }
-        let height = match deps.heights(machine) {
-            Ok(h) => h,
-            // Block dependence graphs are DAGs by construction.
-            Err(_) => unreachable!("cyclic dependence graph in a single block"),
-        };
+        let height = deps.heights(machine);
 
         let term_uses: Vec<Reg> = term.as_ref().map(Inst::uses).unwrap_or_default();
         let term_dep: Vec<bool> = body

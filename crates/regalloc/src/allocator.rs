@@ -6,7 +6,6 @@ use crate::limits::{AllocLimits, BudgetExceeded};
 use crate::pig::Pig;
 use crate::problem::{BlockAllocProblem, ProblemError};
 use crate::session::AllocSession;
-use parsched_graph::CycleError;
 use parsched_ir::liveness::Liveness;
 use parsched_ir::{BlockId, Function, Reg};
 use parsched_machine::MachineDesc;
@@ -73,9 +72,6 @@ pub enum AllocError {
     Invalid(AllocCheckError),
     /// A resource budget (block size, PIG edges, deadline) was exhausted.
     Budget(BudgetExceeded),
-    /// The dependence graph was cyclic — malformed input to the combined
-    /// path (a well-formed block always yields a DAG).
-    Cycle(CycleError),
 }
 
 impl fmt::Display for AllocError {
@@ -93,7 +89,6 @@ impl fmt::Display for AllocError {
             }
             AllocError::Invalid(e) => write!(f, "allocation failed validation: {e}"),
             AllocError::Budget(b) => b.fmt(f),
-            AllocError::Cycle(c) => c.fmt(f),
         }
     }
 }
@@ -104,7 +99,6 @@ impl Error for AllocError {
             AllocError::Problem(p) => Some(p),
             AllocError::Invalid(e) => Some(e),
             AllocError::Budget(b) => Some(b),
-            AllocError::Cycle(c) => Some(c),
             _ => None,
         }
     }
@@ -119,12 +113,6 @@ impl From<ProblemError> for AllocError {
 impl From<BudgetExceeded> for AllocError {
     fn from(b: BudgetExceeded) -> Self {
         AllocError::Budget(b)
-    }
-}
-
-impl From<CycleError> for AllocError {
-    fn from(c: CycleError) -> Self {
-        AllocError::Cycle(c)
     }
 }
 
@@ -174,8 +162,7 @@ impl From<CycleError> for AllocError {
 /// # Errors
 /// Returns [`AllocError`] if the function is not single-block, violates the
 /// symbolic single-definition discipline, or spilling fails to converge;
-/// [`AllocError::Budget`] when a limit trips; [`AllocError::Cycle`] on a
-/// malformed dependence graph.
+/// [`AllocError::Budget`] when a limit trips.
 pub fn allocate_single_block(
     func: &Function,
     machine: &MachineDesc,
@@ -219,7 +206,7 @@ pub fn allocate_single_block_in(
             let deps = DepGraph::build(current.block(block_id), telemetry);
             let reordered = {
                 let _span = parsched_telemetry::span(telemetry, "ep.reorder");
-                ep_reorder(current.block(block_id), &deps, machine)?
+                ep_reorder(current.block(block_id), &deps, machine)
             };
             *current.block_mut(block_id) = reordered;
         }
@@ -267,7 +254,7 @@ pub fn allocate_single_block_in(
             BlockStrategy::Chaitin => {
                 let out =
                     crate::chaitin::chaitin_color(problem.interference(), k, &costs, telemetry);
-                (out.colors, out.spilled, Vec::new())
+                (out.colors, out.spilled, 0)
             }
             BlockStrategy::LinearScan => {
                 let liveness = Liveness::compute(&current, &[]);
@@ -278,7 +265,7 @@ pub fn allocate_single_block_in(
                 // never re-spilling them (they are intervals of length ≤ 1
                 // and always win a register, so this is vacuous in
                 // practice but keeps the invariant visible).
-                (out.colors, out.spilled, Vec::new())
+                (out.colors, out.spilled, 0)
             }
             BlockStrategy::Pinter(cfg) => {
                 limits.check_block_insts("pig.build", current.block(block_id).insts().len())?;
@@ -301,7 +288,7 @@ pub fn allocate_single_block_in(
                     let _span = parsched_telemetry::span(telemetry, "alloc.heights");
                     match session.deps() {
                         Some(deps) => {
-                            let heights = deps.heights(machine)?;
+                            let heights = deps.heights(machine);
                             (0..problem.len())
                                 .map(|n| problem.def_site(n).map_or(0, |i| heights[i]))
                                 .collect()
@@ -335,13 +322,13 @@ pub fn allocate_single_block_in(
                 if all.is_empty() {
                     let out =
                         crate::chaitin::chaitin_color(problem.interference(), k, &costs, telemetry);
-                    (out.colors, out.spilled, Vec::new())
+                    (out.colors, out.spilled, 0)
                 } else {
-                    (Vec::new(), all, Vec::new())
+                    (Vec::new(), all, 0)
                 }
             }
         };
-        removed_false_edges += removed.len();
+        removed_false_edges += removed;
 
         if spills.is_empty() {
             let apply_span = parsched_telemetry::span(telemetry, "alloc.apply");

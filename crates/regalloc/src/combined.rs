@@ -87,9 +87,8 @@ pub struct CombinedOutcome {
     pub colors: Vec<u32>,
     /// Nodes placed on the spill list.
     pub spilled: Vec<usize>,
-    /// False-dependence edges removed (parallelism given away), as node
-    /// pairs.
-    pub removed_false_edges: Vec<(usize, usize)>,
+    /// Number of false-dependence edges removed (parallelism given away).
+    pub removed_false_edges: usize,
 }
 
 impl CombinedOutcome {
@@ -115,9 +114,10 @@ impl CombinedOutcome {
 /// height; 0 for live-in values).
 ///
 /// The procedure keeps per-node degree counters split into interference
-/// and removable-false-edge components, so every simplify/save/spill
-/// decision is O(n) per round rather than O(n·deg); decisions are
-/// tie-broken identically to the reference formulation.
+/// and removable-false-edge components, so every save/spill decision is
+/// O(n) per round rather than O(n·deg), and a degree-bucketed worklist
+/// makes each simplify pick O(k + n/64); decisions are tie-broken
+/// identically to the reference formulation.
 ///
 /// # Panics
 /// Panics if `costs` or `priority` lengths differ from the node count.
@@ -154,7 +154,70 @@ pub struct CombinedWorkspace {
     shared_cnt: Vec<usize>,
     queued: Vec<bool>,
     candidates: EdgeQueue,
+    low: LowDegree,
+    used: Vec<bool>,
     scratch: BitSet,
+}
+
+/// The alive nodes of degree below `k`, bucketed by degree, so that the
+/// simplify pick — the minimal `(degree, node)` — reads the lowest
+/// non-empty bucket instead of scanning every alive node. Degrees only
+/// decrease, so a node enters once (when its degree first drops below
+/// `k`) and then moves down one bucket per lost neighbor.
+#[derive(Default)]
+struct LowDegree {
+    buckets: Vec<BitSet>,
+    sizes: Vec<usize>,
+    total: usize,
+}
+
+impl LowDegree {
+    /// Empties the structure for `n` nodes and `k` colors (degrees run
+    /// below `n`, so `min(k, n)` buckets suffice).
+    fn reset(&mut self, n: usize, k: usize) {
+        let buckets = k.min(n);
+        self.buckets.truncate(buckets);
+        for b in &mut self.buckets {
+            b.reset(n);
+        }
+        while self.buckets.len() < buckets {
+            self.buckets.push(BitSet::new(n));
+        }
+        self.sizes.clear();
+        self.sizes.resize(buckets, 0);
+        self.total = 0;
+    }
+
+    fn insert(&mut self, v: usize, degree: usize) {
+        self.buckets[degree].insert(v);
+        self.sizes[degree] += 1;
+        self.total += 1;
+    }
+
+    fn remove(&mut self, v: usize, degree: usize) {
+        self.buckets[degree].remove(v);
+        self.sizes[degree] -= 1;
+        self.total -= 1;
+    }
+
+    /// Records that `v`'s degree dropped by one, to `degree`.
+    fn dropped(&mut self, v: usize, degree: usize, k: usize) {
+        if degree + 1 < k {
+            self.remove(v, degree + 1);
+        }
+        if degree < k {
+            self.insert(v, degree);
+        }
+    }
+
+    /// The minimal `(degree, node)` member, if any.
+    fn min(&self) -> Option<usize> {
+        if self.total == 0 {
+            return None;
+        }
+        let b = self.sizes.iter().position(|&size| size > 0)?;
+        self.buckets[b].iter().next()
+    }
 }
 
 /// The least-benefit candidate edges, smallest packed key first. The
@@ -167,11 +230,15 @@ struct EdgeQueue {
     run: Vec<u128>,
     next: usize,
     late: BinaryHeap<Reverse<u128>>,
+    /// Counting-sort buffers for [`EdgeQueue::seal`].
+    counts: Vec<u32>,
+    sorted: Vec<u128>,
 }
 
 impl EdgeQueue {
-    /// Empties the queue and returns the initial run to fill; call
-    /// [`EdgeQueue::seal`] once it holds every initial candidate.
+    /// Empties the queue and returns the initial run to fill, in
+    /// ascending `(a, b)` order; call [`EdgeQueue::seal`] once it holds
+    /// every initial candidate.
     fn start(&mut self) -> &mut Vec<u128> {
         self.run.clear();
         self.next = 0;
@@ -179,8 +246,35 @@ impl EdgeQueue {
         &mut self.run
     }
 
+    /// Sorts the initial run. Its keys are small priority sums, so a
+    /// stable counting sort by key over the `(a, b)`-ordered run gives the
+    /// full `(key, a, b)` order; a run whose keys spread far wider than
+    /// its length is sorted by comparison instead.
     fn seal(&mut self) {
-        self.run.sort_unstable();
+        let key = |x: u128| (x >> 64) as usize;
+        let Some(max_key) = self.run.iter().map(|&x| key(x)).max() else {
+            return;
+        };
+        if max_key > 4 * self.run.len() + 1024 {
+            self.run.sort_unstable();
+            return;
+        }
+        self.counts.clear();
+        self.counts.resize(max_key + 2, 0);
+        for &x in &self.run {
+            self.counts[key(x) + 1] += 1;
+        }
+        for i in 1..self.counts.len() {
+            self.counts[i] += self.counts[i - 1];
+        }
+        self.sorted.clear();
+        self.sorted.resize(self.run.len(), 0);
+        for &x in &self.run {
+            let slot = &mut self.counts[key(x)];
+            self.sorted[*slot as usize] = x;
+            *slot += 1;
+        }
+        std::mem::swap(&mut self.run, &mut self.sorted);
     }
 
     /// Adds a candidate found after [`EdgeQueue::seal`].
@@ -272,18 +366,20 @@ pub fn combined_color_in(
     shared_cnt.clear();
     shared_cnt.extend((0..n).map(|v| pig.shared().row(v).count()));
 
-    // Count of alive nodes with degree < k. Degrees only decrease, so each
-    // node crosses the threshold at most once; the counter makes the
-    // simplify scan free during edge-removal storms (when nothing is
-    // simplifiable for long stretches) while the scan itself keeps the
-    // reference pick order: minimal (degree, id).
-    let mut below_k: usize = (0..n)
-        .filter(|&v| inter_deg[v] + falive_deg[v] < k as usize)
-        .count();
+    // Alive nodes of degree < k by degree: the simplify pick keeps the
+    // reference order, minimal (degree, id), without a scan.
+    let low = &mut ws.low;
+    low.reset(n, k as usize);
+    for v in 0..n {
+        let d = inter_deg[v] + falive_deg[v];
+        if d < k as usize {
+            low.insert(v, d);
+        }
+    }
 
     let mut stack: Vec<usize> = Vec::with_capacity(n);
     let mut spilled: Vec<usize> = Vec::new();
-    let mut removed_edges: Vec<(usize, usize)> = Vec::new();
+    let mut removed_edges = 0usize;
     let mut rng_state = match config.edge_policy {
         EdgeRemovalPolicy::Pseudorandom { seed } => seed | 1,
         _ => 1,
@@ -316,11 +412,13 @@ pub fn combined_color_in(
     };
     let initial = candidates.start();
     if lazy {
-        for v in alive.iter() {
-            if savable(v, inter_deg, falive_deg) {
-                queued[v] = true;
-                for u in false_rows[v].iter().filter(|&u| !queued[u]) {
-                    let (a, b) = (v.min(u), v.max(u));
+        // Every false edge with a savable endpoint, once, in (a, b) order.
+        for (v, q) in queued.iter_mut().enumerate() {
+            *q = savable(v, inter_deg, falive_deg);
+        }
+        for a in 0..n {
+            for b in false_rows[a].iter().filter(|&b| b > a) {
+                if queued[a] || queued[b] {
                     initial.push(pack_edge(priority[a].saturating_add(priority[b]), a, b));
                 }
             }
@@ -335,19 +433,7 @@ pub fn combined_color_in(
         // Simplify: remove nodes of degree < k (smallest degree first,
         // ties by node id). The scan only runs when the counter proves it
         // can succeed.
-        let pick = if below_k == 0 {
-            None
-        } else {
-            let mut best: Option<(usize, usize)> = None;
-            for v in alive.iter() {
-                let d = inter_deg[v] + falive_deg[v];
-                if d < k as usize && best.is_none_or(|cur| (d, v) < cur) {
-                    best = Some((d, v));
-                }
-            }
-            best.map(|(_, v)| v)
-        };
-        if let Some(v) = pick {
+        if let Some(v) = low.min() {
             remove_node(
                 v,
                 alive,
@@ -358,7 +444,7 @@ pub fn combined_color_in(
                 falive_deg,
                 shared_cnt,
                 k,
-                &mut below_k,
+                low,
                 scratch,
             );
             if lazy {
@@ -427,11 +513,9 @@ pub fn combined_color_in(
             falive_deg[a] -= 1;
             falive_deg[b] -= 1;
             for x in [a, b] {
-                if inter_deg[x] + falive_deg[x] + 1 == k as usize {
-                    below_k += 1;
-                }
+                low.dropped(x, inter_deg[x] + falive_deg[x], k as usize);
             }
-            removed_edges.push((a, b));
+            removed_edges += 1;
             continue;
         }
 
@@ -490,7 +574,7 @@ pub fn combined_color_in(
             falive_deg,
             shared_cnt,
             k,
-            &mut below_k,
+            low,
             scratch,
         );
         if lazy {
@@ -514,8 +598,10 @@ pub fn combined_color_in(
     // Select (only meaningful when nothing spilled, matching the paper;
     // still performed so callers can inspect partial colorings).
     let mut colors = vec![u32::MAX; n];
+    let used = &mut ws.used;
     for &v in stack.iter().rev() {
-        let mut used = vec![false; k as usize];
+        used.clear();
+        used.resize(k as usize, false);
         for u in work_rows[v].iter() {
             if colors[u] != u32::MAX {
                 used[colors[u] as usize] = true;
@@ -532,7 +618,7 @@ pub fn combined_color_in(
     spilled.sort_unstable();
     if telemetry.enabled() {
         telemetry.counter("combined.simplified", stack.len() as u64);
-        telemetry.counter("combined.removed_false_edges", removed_edges.len() as u64);
+        telemetry.counter("combined.removed_false_edges", removed_edges as u64);
         telemetry.counter("combined.spilled", spilled.len() as u64);
     }
     CombinedOutcome {
@@ -588,7 +674,7 @@ fn queue_new_savable(
 }
 
 /// Marks `v` dead and repairs its alive neighbors' split degree counters,
-/// keeping the below-`k` population count exact. Adjacency rows are left
+/// keeping the below-`k` buckets exact. Adjacency rows are left
 /// intact: the select phase needs the surviving edge set over *all* nodes.
 #[allow(clippy::too_many_arguments)]
 fn remove_node(
@@ -601,11 +687,12 @@ fn remove_node(
     falive_deg: &mut [usize],
     shared_cnt: &mut [usize],
     k: u32,
-    below_k: &mut usize,
+    low: &mut LowDegree,
     scratch: &mut BitSet,
 ) {
-    if inter_deg[v] + falive_deg[v] < k as usize {
-        *below_k -= 1;
+    let d = inter_deg[v] + falive_deg[v];
+    if d < k as usize {
+        low.remove(v, d);
     }
     alive.remove(v);
     scratch.clone_from(&work_rows[v]);
@@ -619,9 +706,7 @@ fn remove_node(
                 shared_cnt[u] -= 1;
             }
         }
-        if inter_deg[u] + falive_deg[u] + 1 == k as usize {
-            *below_k += 1;
-        }
+        low.dropped(u, inter_deg[u] + falive_deg[u], k as usize);
     }
 }
 
@@ -672,7 +757,7 @@ mod tests {
         let d = DepGraph::build(&f.blocks()[0], &parsched_telemetry::NullTelemetry);
         let pig = Pig::build(&p, &d, machine, &parsched_telemetry::NullTelemetry);
         let costs: Vec<f64> = (0..p.len()).map(|n| p.spill_cost(n)).collect();
-        let heights = d.heights(machine).unwrap();
+        let heights = d.heights(machine);
         let priority: Vec<u32> = (0..p.len())
             .map(|n| p.def_site(n).map_or(0, |i| heights[i]))
             .collect();
@@ -692,6 +777,29 @@ mod tests {
     "#;
 
     #[test]
+    fn sealed_run_pops_in_key_then_pair_order() {
+        // Small keys take the counting sort, widely spread keys the
+        // comparison sort; both must pop in full (key, a, b) order.
+        for spread in [1u32, 1 << 30] {
+            let mut queue = EdgeQueue::default();
+            let pairs = [(0, 1), (0, 3), (1, 2), (2, 3), (2, 5)];
+            let keys = [3, 1, 3, 0, 1];
+            let mut want: Vec<u128> = pairs
+                .iter()
+                .zip(keys)
+                .map(|(&(a, b), key)| pack_edge(key * spread, a, b))
+                .collect();
+            queue.start().extend_from_slice(&want);
+            queue.seal();
+            queue.push(pack_edge(2 * spread, 4, 6));
+            want.push(pack_edge(2 * spread, 4, 6));
+            want.sort_unstable();
+            let got: Vec<u128> = std::iter::from_fn(|| queue.pop_min()).collect();
+            assert_eq!(got, want, "spread {spread}");
+        }
+    }
+
+    #[test]
     fn enough_registers_no_spill_no_removal() {
         let m = presets::paper_machine(8);
         let (_p, pig, costs, prio) = pig_of(EXAMPLE1, &m);
@@ -704,7 +812,7 @@ mod tests {
             &parsched_telemetry::NullTelemetry,
         );
         assert!(out.spilled.is_empty());
-        assert!(out.removed_false_edges.is_empty());
+        assert_eq!(out.removed_false_edges, 0);
         assert!(pig.graph().is_proper_coloring(&out.colors));
         assert!(out.colors_used() <= 4);
     }
@@ -757,7 +865,7 @@ mod tests {
         // Int and float chains interleave: Gr is small, false edges connect
         // the chains. Two registers must cost parallelism, not spills.
         assert!(
-            !out.removed_false_edges.is_empty(),
+            out.removed_false_edges > 0,
             "expected false-edge removal under pressure"
         );
         assert!(out.spilled.is_empty(), "no spill needed: {out:?}");

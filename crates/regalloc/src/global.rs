@@ -151,11 +151,7 @@ impl GlobalAllocProblem {
                 continue;
             }
             let deps = DepGraph::build(&concat, &parsched_telemetry::NullTelemetry);
-            // Built dependence graphs are DAGs by construction; if that ever
-            // failed, skipping the region only forfeits parallelism info.
-            let Ok(heights) = deps.heights(machine) else {
-                continue;
-            };
+            let heights = deps.heights(machine);
             let ef = falsedep::false_dependence_graph(
                 &deps,
                 machine,
@@ -742,7 +738,7 @@ pub fn allocate_global_scoped(
                     cfg,
                     telemetry,
                 );
-                (out.colors, out.spilled, out.removed_false_edges.len())
+                (out.colors, out.spilled, out.removed_false_edges)
             }
             GlobalStrategy::SpillAll => {
                 // Round 1 spills every unprotected class; later rounds

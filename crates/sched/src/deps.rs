@@ -1,7 +1,7 @@
 //! Dependence-graph construction for one basic block.
 
 use parsched_graph::DiGraph;
-use parsched_graph::FastMap;
+use parsched_graph::{FastMap, FastSet};
 use parsched_ir::{AddrBase, Block, Inst, InstKind, MemAddr, Reg};
 use parsched_machine::{MachineDesc, OpClass};
 use std::time::Instant;
@@ -100,10 +100,26 @@ pub fn op_class(inst: &Inst) -> OpClass {
 /// # Ok::<(), parsched_ir::ParseError>(())
 /// ```
 ///
-/// Built from program order: for every later instruction that conflicts
-/// with an earlier one, a directed edge runs earlier → later. When several
-/// kinds relate the same pair the strongest is kept, in the order
-/// flow > output > anti (memory kinds likewise).
+/// Built from program order, so every edge runs from an earlier body
+/// index to a later one and index order is a topological order. Flow
+/// edges are *killing*: a use depends on its register's latest earlier
+/// def. Register output and anti edges are *reduced*: a def of `r` gets an
+/// output edge only from `r`'s latest earlier def and anti edges only from
+/// the uses of `r` since that def. The paper's literal relation also
+/// orders a def after every older def and use of its register, but each
+/// such pair is joined by a path through the intervening defs whose
+/// latency is at least the dropped edge's own (an output hop costs 1, an
+/// anti edge 0), so the transitive closure, every longest-path latency and
+/// every list schedule are the same over both, while the reduced graph
+/// stays linear in the block. Memory and control edges are kept in full.
+/// When several kinds relate the same pair the strongest is kept, in the
+/// order flow > control > memory flow > output > memory output > anti >
+/// memory anti.
+///
+/// [`DepGraph::output_pairs`] recovers the pairs the full relation labels
+/// [`DepKind::Output`] (every pair of defs of one register with no
+/// stronger edge between them), which is what the false-dependence count
+/// tests.
 ///
 /// Edge kinds are stored flat, parallel to the adjacency lists:
 /// [`DepGraph::succ_kinds`]`(u)[k]` is the kind of the edge
@@ -117,6 +133,14 @@ pub struct DepGraph {
     kind_start: Vec<usize>,
     kinds: Vec<DepKind>,
     classes: Vec<OpClass>,
+    /// Each register's defining instructions, ascending, one register's
+    /// chain after another.
+    chains: Vec<u32>,
+    /// `chain_end[s]`: the end (exclusive) of the chain holding slot `s`.
+    chain_end: Vec<u32>,
+    /// Whether an instruction defines two or more distinct registers (its
+    /// def pairs can then repeat across chains).
+    multi_def: Vec<bool>,
 }
 
 impl DepGraph {
@@ -192,16 +216,14 @@ impl DepGraph {
             .map(|b| matches!(b.kind(), InstKind::Call { .. }))
             .collect();
 
-        // Per-register occurrence chains over the instructions seen so far:
-        // `def_head[r]` is r's latest def occurrence (an index into
-        // `defs_arena`), `def_prev[k]` the one before occurrence `k`, and
-        // `def_inst[k]` its instruction; likewise for uses.
+        // `last_def[r]`: r's latest def among the instructions seen so far.
+        // Uses of r form a chain over `uses_arena` occurrences: `use_head[r]`
+        // is the latest, `use_prev[k]` the one before occurrence `k`, and
+        // `use_inst[k]` its instruction.
         let nregs = reg_ids.len();
-        let mut def_head = vec![NONE; nregs];
+        let mut last_def = vec![NONE; nregs];
         let mut use_head = vec![NONE; nregs];
-        let mut def_prev = vec![NONE; defs_arena.len()];
         let mut use_prev = vec![NONE; uses_arena.len()];
-        let mut def_inst = vec![0u32; defs_arena.len()];
         let mut use_inst = vec![0u32; uses_arena.len()];
         let mut mem = MemIndex::default();
 
@@ -230,9 +252,9 @@ impl DepGraph {
             // (an intervening redefinition yields output + flow edges whose
             // transitive combination preserves ordering).
             for &u in uses(j) {
-                let k = def_head[u as usize];
-                if k != NONE {
-                    let i = def_inst[k as usize] as usize;
+                let i = last_def[u as usize];
+                if i != NONE {
+                    let i = i as usize;
                     if flow_row[i] != j {
                         flow_row[i] = j;
                         flow.push(i as u32);
@@ -257,18 +279,22 @@ impl DepGraph {
                     Some(_) => {}
                 }
             };
-            // Anti and output dependences follow the paper's literal
-            // any-later-redefinition wording; they are conservative but only
-            // add ordering already implied transitively.
+            // Reduced register dependences (see the type docs): output from
+            // the latest def of each defined register, anti from its uses
+            // since that def. A use by the def itself is already ordered by
+            // the (stronger) output edge.
             for &d in defs(j) {
-                let mut k = def_head[d as usize];
-                while k != NONE {
-                    note(def_inst[k as usize] as usize, DepKind::Output);
-                    k = def_prev[k as usize];
+                let since = last_def[d as usize];
+                if since != NONE {
+                    note(since as usize, DepKind::Output);
                 }
                 let mut k = use_head[d as usize];
                 while k != NONE {
-                    note(use_inst[k as usize] as usize, DepKind::Anti);
+                    let i = use_inst[k as usize];
+                    if since != NONE && i <= since {
+                        break;
+                    }
+                    note(i as usize, DepKind::Anti);
                     k = use_prev[k as usize];
                 }
             }
@@ -310,11 +336,8 @@ impl DepGraph {
             other_end.push(other.len());
             in_degree.push(flow_end[j] + other_end[j] - flow_start - other_start);
 
-            for k in defs_idx[j]..defs_idx[j + 1] {
-                let r = defs_arena[k] as usize;
-                def_prev[k] = def_head[r];
-                def_inst[k] = j as u32;
-                def_head[r] = k as u32;
+            for &r in defs(j) {
+                last_def[r as usize] = j as u32;
             }
             for k in uses_idx[j]..uses_idx[j + 1] {
                 let r = uses_arena[k] as usize;
@@ -352,12 +375,32 @@ impl DepGraph {
             begin = end;
         }
 
+        let (chains, chain_end, multi_def) = def_chains(nregs, n, defs);
         Some(DepGraph {
             graph,
             kind_start,
             kinds,
             classes: body.iter().map(op_class).collect(),
+            chains,
+            chain_end,
+            multi_def,
         })
+    }
+
+    /// The pairs `(a, b)`, `a < b`, that the paper's full relation labels
+    /// [`DepKind::Output`]: `a` and `b` define a common register and no
+    /// flow, control or memory-flow edge (the kinds stronger than output)
+    /// joins them. Each pair is yielded once, grouped by register, then by
+    /// `a` and `b` ascending. Only the consecutive defs of a register are
+    /// output edges of this (reduced) graph; the other pairs are implied
+    /// by paths through them.
+    pub fn output_pairs(&self) -> OutputPairs<'_> {
+        OutputPairs {
+            deps: self,
+            s: 0,
+            t: 1,
+            repeats: FastSet::default(),
+        }
     }
 
     /// Number of body instructions.
@@ -441,15 +484,12 @@ impl DepGraph {
     /// latency-weighted path from the node to any sink, counting the node's
     /// own latency. The classic list-scheduling priority.
     ///
-    /// # Errors
-    /// Returns [`parsched_graph::CycleError`] if the graph is not a DAG.
-    /// Graphs built by [`DepGraph::build`] are always acyclic (every edge
-    /// points forward in program order), but hand-assembled graphs need not
-    /// be, and a malformed `Gs` must not abort the process.
-    pub fn heights(&self, machine: &MachineDesc) -> Result<Vec<u32>, parsched_graph::CycleError> {
-        let order = self.graph.topological_sort()?;
+    /// Every edge runs from an earlier index to a later one, so one
+    /// backward pass in index order sees each node after all its
+    /// successors.
+    pub fn heights(&self, machine: &MachineDesc) -> Vec<u32> {
         let mut height = vec![0u32; self.len()];
-        for &u in order.iter().rev() {
+        for u in (0..self.len()).rev() {
             let own = machine.latency(self.class(u)).max(1);
             let best_succ = self
                 .out_edges(u)
@@ -458,8 +498,94 @@ impl DepGraph {
                 .unwrap_or(0);
             height[u] = own.max(best_succ);
         }
-        Ok(height)
+        height
     }
+}
+
+/// Iterator over [`DepGraph::output_pairs`].
+pub struct OutputPairs<'a> {
+    deps: &'a DepGraph,
+    /// Slot of the pair's earlier def.
+    s: usize,
+    /// Slot of the pair's later def.
+    t: usize,
+    /// Pairs of multi-def instructions already yielded (only such pairs
+    /// can share two registers).
+    repeats: FastSet<(usize, usize)>,
+}
+
+impl Iterator for OutputPairs<'_> {
+    type Item = (usize, usize);
+
+    fn next(&mut self) -> Option<(usize, usize)> {
+        let d = self.deps;
+        while self.s < d.chains.len() {
+            if self.t >= d.chain_end[self.s] as usize {
+                self.s += 1;
+                self.t = self.s + 1;
+                continue;
+            }
+            let (a, b) = (d.chains[self.s] as usize, d.chains[self.t] as usize);
+            self.t += 1;
+            if matches!(
+                d.kind(a, b),
+                Some(DepKind::Flow | DepKind::Control | DepKind::MemFlow)
+            ) {
+                continue;
+            }
+            if d.multi_def[a] && d.multi_def[b] && !self.repeats.insert((a, b)) {
+                continue;
+            }
+            return Some((a, b));
+        }
+        None
+    }
+}
+
+/// Groups the defs of a block by register: returns every register's
+/// defining instructions (ascending, an instruction once per register
+/// however often it names it), the chain end of each slot, and which
+/// instructions define two or more distinct registers.
+fn def_chains<'a>(
+    nregs: usize,
+    n: usize,
+    defs: impl Fn(usize) -> &'a [u32],
+) -> (Vec<u32>, Vec<u32>, Vec<bool>) {
+    const NONE: u32 = u32::MAX;
+    let mut last = vec![NONE; nregs];
+    let mut start = vec![0u32; nregs + 1];
+    for j in 0..n {
+        for &r in defs(j) {
+            if last[r as usize] != j as u32 {
+                last[r as usize] = j as u32;
+                start[r as usize + 1] += 1;
+            }
+        }
+    }
+    for r in 0..nregs {
+        start[r + 1] += start[r];
+    }
+    let total = start[nregs] as usize;
+    let mut chains = vec![0u32; total];
+    let mut chain_end = vec![0u32; total];
+    let mut multi_def = vec![false; n];
+    let mut fill = start[..nregs].to_vec();
+    last.fill(NONE);
+    for (j, multi) in multi_def.iter_mut().enumerate() {
+        let mut distinct = 0;
+        for &r in defs(j) {
+            let r = r as usize;
+            if last[r] != j as u32 {
+                last[r] = j as u32;
+                distinct += 1;
+                chains[fill[r] as usize] = j as u32;
+                chain_end[fill[r] as usize] = start[r + 1];
+                fill[r] += 1;
+            }
+        }
+        *multi = distinct > 1;
+    }
+    (chains, chain_end, multi_def)
 }
 
 /// The memory operations and calls seen so far in a block, indexed by
@@ -619,21 +745,164 @@ mod tests {
         (graph, kinds)
     }
 
-    /// Asserts that the flat kernel and the pair-scan oracle agree on the
-    /// edge set, on every `succs`/`preds` order and on every kind.
-    fn assert_matches_oracle(block: &Block, what: &str) {
-        let got = build(block);
-        let (want, kinds) = pair_scan(block);
-        let n = want.node_count();
-        assert_eq!(got.len(), n, "{what}: node count");
-        assert_eq!(got.graph().edge_count(), kinds.len(), "{what}: edge count");
+    /// The pair-scan oracle as a [`DepGraph`] (successor kinds parallel to
+    /// the oracle's successor lists), so the scheduler can run on it.
+    fn oracle_graph(block: &Block) -> (DepGraph, FastMap<(usize, usize), DepKind>) {
+        let (graph, kinds) = pair_scan(block);
+        let n = graph.node_count();
+        let mut kind_start = vec![0];
+        let mut flat = Vec::new();
         for u in 0..n {
-            assert_eq!(got.graph().succs(u), want.succs(u), "{what}: succs({u})");
-            assert_eq!(got.graph().preds(u), want.preds(u), "{what}: preds({u})");
-            for e in got.out_edges(u) {
-                assert_eq!(Some(&e.kind), kinds.get(&(e.from, e.to)), "{what}: {e:?}");
-                assert_eq!(got.kind(e.from, e.to), Some(e.kind), "{what}: kind()");
+            flat.extend(graph.succs(u).iter().map(|&v| kinds[&(u, v)]));
+            kind_start.push(flat.len());
+        }
+        let deps = DepGraph {
+            graph,
+            kind_start,
+            kinds: flat,
+            classes: block.body().iter().map(op_class).collect(),
+            chains: Vec::new(),
+            chain_end: Vec::new(),
+            multi_def: vec![false; n],
+        };
+        (deps, kinds)
+    }
+
+    /// Longest-path latency from `u` to every node (`None`: unreachable).
+    fn longest_from(deps: &DepGraph, machine: &MachineDesc, u: usize) -> Vec<Option<u32>> {
+        let mut dist = vec![None; deps.len()];
+        dist[u] = Some(0);
+        for x in u..deps.len() {
+            let Some(dx) = dist[x] else { continue };
+            for e in deps.out_edges(x) {
+                let via = dx + deps.edge_latency(machine, &e);
+                dist[e.to] = Some(dist[e.to].map_or(via, |d: u32| d.max(via)));
             }
+        }
+        dist
+    }
+
+    /// Asserts that the reduced graph is equivalent to the pair-scan oracle
+    /// (the paper's full relation): its `succs`/`preds` lists are the
+    /// oracle's in the same order, less the dropped edges; every reduced
+    /// edge is an oracle pair
+    /// (of the oracle's kind, unless that kind is a dropped register
+    /// anti/output one); both have the same reachability; on every preset,
+    /// every oracle edge is covered by a reduced path of at least its
+    /// latency, and all longest-path latencies agree; the def-chain pairs
+    /// are exactly the oracle's output edges, so the false-dependence count
+    /// equals the number of oracle output edges in `Ef`; and list
+    /// scheduling gives equal schedules on both graphs.
+    fn assert_matches_oracle(block: &Block, what: &str) {
+        use crate::falsedep::{count_false_edges, rename_apart};
+        use crate::{list_schedule, SchedPriority};
+        use parsched_graph::Reachability;
+        use parsched_machine::presets;
+        use parsched_telemetry::NullTelemetry;
+
+        let got = build(block);
+        let (oracle, kinds) = oracle_graph(block);
+        let n = oracle.len();
+        assert_eq!(got.len(), n, "{what}: node count");
+        // The documented insertion order: the oracle's lists, filtered to
+        // the reduced edge set.
+        let (g, full) = (got.graph(), oracle.graph());
+        for u in 0..n {
+            let succs: Vec<usize> = full
+                .succs(u)
+                .iter()
+                .copied()
+                .filter(|&v| g.has_edge(u, v))
+                .collect();
+            let preds: Vec<usize> = full
+                .preds(u)
+                .iter()
+                .copied()
+                .filter(|&v| g.has_edge(v, u))
+                .collect();
+            assert_eq!(got.graph().succs(u), succs, "{what}: succs({u})");
+            assert_eq!(got.graph().preds(u), preds, "{what}: preds({u})");
+        }
+        for e in got.edges() {
+            let want = kinds.get(&(e.from, e.to));
+            assert!(want.is_some(), "{what}: {e:?} is not an oracle pair");
+            if let Some(&k) = want.filter(|k| !matches!(k, DepKind::Output | DepKind::Anti)) {
+                assert_eq!(e.kind, k, "{what}: kind of {e:?}");
+            }
+            assert_eq!(got.kind(e.from, e.to), Some(e.kind), "{what}: kind()");
+        }
+
+        let closure = |g: &DiGraph| match Reachability::build(g, None) {
+            Some(reach) => reach,
+            None => unreachable!("a build without a deadline cannot trip"),
+        };
+        let reach_got = closure(got.graph());
+        let reach_want = closure(oracle.graph());
+        for u in 0..n {
+            for v in 0..n {
+                assert_eq!(
+                    reach_got.reaches(u, v),
+                    reach_want.reaches(u, v),
+                    "{what}: reaches({u}, {v})"
+                );
+            }
+        }
+
+        let presets = [
+            presets::single_issue(8),
+            presets::paper_machine(8),
+            presets::mips_r3000(8),
+            presets::rs6000(8),
+            presets::wide(4, 8),
+        ];
+        for m in &presets {
+            for u in 0..n {
+                let reduced = longest_from(&got, m, u);
+                for e in oracle.out_edges(u) {
+                    let lat = oracle.edge_latency(m, &e);
+                    assert!(
+                        reduced[e.to].is_some_and(|d| d >= lat),
+                        "{what} on {}: oracle {e:?} (latency {lat}) not covered",
+                        m.name()
+                    );
+                }
+                assert_eq!(
+                    reduced,
+                    longest_from(&oracle, m, u),
+                    "{what} on {}: longest paths from {u}",
+                    m.name()
+                );
+            }
+            for prio in [SchedPriority::CriticalPath, SchedPriority::SourceOrder] {
+                let a = list_schedule(block, &got, m, prio, &NullTelemetry);
+                let b = list_schedule(block, &oracle, m, prio, &NullTelemetry);
+                assert_eq!(a, b, "{what} on {}: {prio:?} schedule", m.name());
+            }
+        }
+
+        let mut pairs: Vec<(usize, usize)> = got.output_pairs().collect();
+        pairs.sort_unstable();
+        let mut want_pairs: Vec<(usize, usize)> = kinds
+            .iter()
+            .filter(|(_, &k)| k == DepKind::Output)
+            .map(|(&pair, _)| pair)
+            .collect();
+        want_pairs.sort_unstable();
+        assert_eq!(pairs, want_pairs, "{what}: output pairs");
+
+        let renamed = rename_apart(block);
+        let sym = closure(build(&renamed).graph());
+        for m in &presets {
+            let in_ef = want_pairs
+                .iter()
+                .filter(|&&(u, v)| {
+                    !sym.reaches(u, v)
+                        && !sym.reaches(v, u)
+                        && !m.pairwise_conflict(got.class(u), got.class(v))
+                })
+                .count();
+            let counted = count_false_edges(&got, &sym, m, None, &NullTelemetry);
+            assert_eq!(counted, Some(in_ef), "{what} on {}: false deps", m.name());
         }
     }
 
@@ -895,7 +1164,7 @@ mod tests {
         );
         let g = build(&b);
         let m = parsched_machine::presets::rs6000(32); // load latency 2
-        let h = g.heights(&m).unwrap();
+        let h = g.heights(&m);
         // chain: load(2) → add(1) → add(1) = 4, 2, 1
         assert_eq!(h, vec![4, 2, 1]);
     }

@@ -12,42 +12,34 @@
 //! reorder the program segment accordingly."
 
 use crate::deps::DepGraph;
-use parsched_graph::CycleError;
 use parsched_ir::Block;
 use parsched_machine::MachineDesc;
 
 /// Latency-aware earliest-possible issue times ignoring resources: the
-/// longest dependence path from any root to each node.
-///
-/// # Errors
-/// Returns [`CycleError`] if the dependence graph is not a DAG.
-pub fn ep_numbers(deps: &DepGraph, machine: &MachineDesc) -> Result<Vec<u32>, CycleError> {
-    let order = deps.graph().topological_sort()?;
+/// longest dependence path from any root to each node. Every edge runs
+/// from an earlier index to a later one, so one forward pass in index
+/// order settles each node before its successors.
+pub fn ep_numbers(deps: &DepGraph, machine: &MachineDesc) -> Vec<u32> {
     let mut ep = vec![0u32; deps.len()];
-    for &u in &order {
+    for u in 0..deps.len() {
         for edge in deps.out_edges(u) {
             ep[edge.to] = ep[edge.to].max(ep[u] + deps.edge_latency(machine, &edge));
         }
     }
-    Ok(ep)
+    ep
 }
 
 /// EP numbers after the paper's capacity-postponement refinement: while any
 /// EP level holds more operations than the machine can issue together, the
 /// lowest-priority excess operations (smallest critical-path height) are
 /// postponed one level and the increase is propagated along outgoing paths.
-///
-/// # Errors
-/// Returns [`CycleError`] if the dependence graph is not a DAG.
-pub fn refined_ep_numbers(deps: &DepGraph, machine: &MachineDesc) -> Result<Vec<u32>, CycleError> {
-    // The dependence graph never changes during refinement, so the
-    // topological order, the edge list, and each edge's latency are loop
-    // invariants; propagation below replays exactly the sequence of `max`
-    // updates the per-round recomputation would.
-    let order = deps.graph().topological_sort()?;
-    let edges: Vec<(usize, usize, u32)> = order
-        .iter()
-        .flat_map(|&u| {
+pub fn refined_ep_numbers(deps: &DepGraph, machine: &MachineDesc) -> Vec<u32> {
+    // The dependence graph never changes during refinement, so the edge
+    // list (in index order, a topological order) and each edge's latency
+    // are loop invariants; propagation below replays exactly the sequence
+    // of `max` updates the per-round recomputation would.
+    let edges: Vec<(usize, usize, u32)> = (0..deps.len())
+        .flat_map(|u| {
             deps.out_edges(u)
                 .map(move |edge| (u, edge.to, deps.edge_latency(machine, &edge)))
         })
@@ -59,24 +51,29 @@ pub fn refined_ep_numbers(deps: &DepGraph, machine: &MachineDesc) -> Result<Vec<
     };
     let mut ep = vec![0u32; deps.len()];
     propagate(&mut ep);
-    let heights = deps.heights(machine)?;
+    let heights = deps.heights(machine);
     let n = deps.len();
     if n == 0 {
-        return Ok(ep);
+        return ep;
     }
 
     // Iterate levels in increasing order; the maximum level can grow as
-    // operations are postponed.
+    // operations are postponed, and only then.
     let mut level = 0u32;
+    let mut top = ep.iter().copied().max().unwrap_or(0);
     let mut guard = 0usize;
-    while level <= ep.iter().copied().max().unwrap_or(0) {
+    let mut rt = machine.reservation_table();
+    let mut at_level: Vec<usize> = Vec::new();
+    let mut postponed: Vec<usize> = Vec::new();
+    while level <= top {
         guard += 1;
         assert!(guard <= 4 * n * n + 16, "EP refinement failed to converge");
-        let mut at_level: Vec<usize> = (0..n).filter(|&i| ep[i] == level).collect();
-        // Can they all issue in one cycle? Greedily book a fresh table.
-        let mut rt = machine.reservation_table();
+        at_level.clear();
+        at_level.extend((0..n).filter(|&i| ep[i] == level));
+        // Can they all issue in one cycle? Greedily book a cleared table.
+        rt.clear();
         at_level.sort_by_key(|&i| (std::cmp::Reverse(heights[i]), i));
-        let mut postponed = Vec::new();
+        postponed.clear();
         for &i in &at_level {
             let class = deps.class(i);
             if rt.can_issue(machine, class, 0) {
@@ -89,14 +86,15 @@ pub fn refined_ep_numbers(deps: &DepGraph, machine: &MachineDesc) -> Result<Vec<
             level += 1;
             continue;
         }
-        for i in postponed {
+        for &i in &postponed {
             ep[i] += 1;
         }
         // Re-propagate the partial order: EP(v) ≥ EP(u) + latency(u→v).
         propagate(&mut ep);
+        top = ep.iter().copied().max().unwrap_or(0);
         // Stay on the same level: other ops may still exceed capacity.
     }
-    Ok(ep)
+    ep
 }
 
 /// Reorders the body of `block` into a linear order consistent with the
@@ -106,15 +104,8 @@ pub fn refined_ep_numbers(deps: &DepGraph, machine: &MachineDesc) -> Result<Vec<
 /// This is the "registers allocation Algorithm" pre-pass of Section 4: it
 /// improves the sequential order that live ranges — and therefore the
 /// interference graph — are measured against.
-///
-/// # Errors
-/// Returns [`CycleError`] if the dependence graph is not a DAG.
-pub fn ep_reorder(
-    block: &Block,
-    deps: &DepGraph,
-    machine: &MachineDesc,
-) -> Result<Block, CycleError> {
-    let ep = refined_ep_numbers(deps, machine)?;
+pub fn ep_reorder(block: &Block, deps: &DepGraph, machine: &MachineDesc) -> Block {
+    let ep = refined_ep_numbers(deps, machine);
     let mut idx: Vec<usize> = (0..deps.len()).collect();
     idx.sort_by_key(|&i| (ep[i], i));
     let mut out = Block::new(block.label());
@@ -124,7 +115,7 @@ pub fn ep_reorder(
     if let Some(t) = block.terminator() {
         out.push(t.clone());
     }
-    Ok(out)
+    out
 }
 
 #[cfg(test)]
@@ -153,7 +144,7 @@ mod tests {
         );
         let deps = DepGraph::build(&b, &parsched_telemetry::NullTelemetry);
         let m = presets::rs6000(8); // load latency 2
-        let ep = ep_numbers(&deps, &m).unwrap();
+        let ep = ep_numbers(&deps, &m);
         assert_eq!(ep, vec![0, 2, 0, 3]);
     }
 
@@ -175,9 +166,9 @@ mod tests {
         );
         let deps = DepGraph::build(&b, &parsched_telemetry::NullTelemetry);
         let m = presets::paper_machine(8);
-        let raw = ep_numbers(&deps, &m).unwrap();
+        let raw = ep_numbers(&deps, &m);
         assert_eq!(raw, vec![0, 0, 0, 0]);
-        let mut refined = refined_ep_numbers(&deps, &m).unwrap();
+        let mut refined = refined_ep_numbers(&deps, &m);
         refined.sort();
         assert_eq!(refined, vec![0, 1, 2, 3]);
     }
@@ -200,7 +191,7 @@ mod tests {
         );
         let deps = DepGraph::build(&b, &parsched_telemetry::NullTelemetry);
         let m = presets::paper_machine(8);
-        let re = ep_reorder(&b, &deps, &m).unwrap();
+        let re = ep_reorder(&b, &deps, &m);
         assert_eq!(re.insts().len(), b.insts().len());
         // Every def still precedes its uses.
         let mut defined: Vec<parsched_ir::Reg> = vec![parsched_ir::Reg::sym(0)];
@@ -226,7 +217,7 @@ mod tests {
         );
         let deps = DepGraph::build(&b, &parsched_telemetry::NullTelemetry);
         let m = presets::paper_machine(8);
-        let re = ep_reorder(&b, &deps, &m).unwrap();
+        let re = ep_reorder(&b, &deps, &m);
         assert_eq!(re.insts(), b.insts());
     }
 
@@ -235,8 +226,8 @@ mod tests {
         let b = block("func @e() {\nentry:\n    ret\n}");
         let deps = DepGraph::build(&b, &parsched_telemetry::NullTelemetry);
         let m = presets::paper_machine(8);
-        assert!(ep_numbers(&deps, &m).unwrap().is_empty());
-        let re = ep_reorder(&b, &deps, &m).unwrap();
+        assert!(ep_numbers(&deps, &m).is_empty());
+        let re = ep_reorder(&b, &deps, &m);
         assert_eq!(re.insts().len(), 1);
     }
 }

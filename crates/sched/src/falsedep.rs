@@ -12,7 +12,7 @@
 //!   scheduled together (**Lemma 1** — an edge `(u,v)` of a post-allocation
 //!   scheduling graph is a false dependence iff `{u,v} ∈ Ef`).
 
-use crate::deps::{DepEdge, DepGraph};
+use crate::deps::{DepEdge, DepGraph, DepKind};
 use parsched_graph::{FastMap, Reachability, UnGraph, DEADLINE_STRIDE};
 use parsched_ir::{Block, Inst, Reg};
 use parsched_machine::MachineDesc;
@@ -110,20 +110,29 @@ pub fn false_dependence_graph(
     ef
 }
 
-/// Returns the register output-dependence edges of `alloc_deps` (the
+/// Returns the register output dependences of `alloc_deps` (the
 /// dependence graph of the *allocated* block) that are **false**: their
 /// endpoints could have issued together according to `ef` (built from the
-/// symbolic block via [`false_dependence_graph`]). Anti dependences are
-/// excluded by the paper's footnote semantics — a last use and the reuse
-/// of its register may share a cycle, so they cost no parallelism.
+/// symbolic block via [`false_dependence_graph`]). The output dependences
+/// are those of the paper's full relation ([`DepGraph::output_pairs`]),
+/// sorted by `(from, to)`. Anti dependences are excluded by the paper's
+/// footnote semantics — a last use and the reuse of its register may share
+/// a cycle, so they cost no parallelism.
 ///
 /// Both blocks must have identical instruction order (allocation renames
 /// registers in place), so body indices correspond.
 pub fn introduced_false_deps(ef: &UnGraph, alloc_deps: &DepGraph) -> Vec<DepEdge> {
-    alloc_deps
-        .edges()
-        .filter(|e| e.kind.is_register_false_candidate() && ef.has_edge(e.from, e.to))
-        .collect()
+    let mut out: Vec<DepEdge> = alloc_deps
+        .output_pairs()
+        .filter(|&(from, to)| ef.has_edge(from, to))
+        .map(|(from, to)| DepEdge {
+            from,
+            to,
+            kind: DepKind::Output,
+        })
+        .collect();
+    out.sort_unstable_by_key(|e| (e.from, e.to));
+    out
 }
 
 /// Renames the registers of `block` *apart*: every definition gets a fresh
@@ -284,10 +293,11 @@ pub fn count_false_deps_in(
 }
 
 /// The test at the heart of [`count_false_deps_in`]: counts the register
-/// output edges of `own_deps` whose endpoints `symbolic` — the closure of
-/// the dependence graph of the block's symbolic form — leaves unordered
-/// and the machine lets issue together. Polls `deadline` every
-/// [`DEADLINE_STRIDE`] edges and returns `None` once it passes.
+/// output dependences of `own_deps` — [`DepGraph::output_pairs`], found by
+/// walking each register's def chain — whose endpoints `symbolic` (the
+/// closure of the dependence graph of the block's symbolic form) leaves
+/// unordered and the machine lets issue together. Polls `deadline` every
+/// [`DEADLINE_STRIDE`] pairs and returns `None` once it passes.
 pub fn count_false_edges(
     own_deps: &DepGraph,
     symbolic: &Reachability,
@@ -298,14 +308,11 @@ pub fn count_false_edges(
     let _span = parsched_telemetry::span(telemetry, "falsedep.test_edges");
     let tripped = |d: Option<Instant>| d.is_some_and(|d| Instant::now() >= d);
     let mut count = 0;
-    for (i, e) in own_deps.edges().enumerate() {
+    for (i, (u, v)) in own_deps.output_pairs().enumerate() {
         if i % DEADLINE_STRIDE == DEADLINE_STRIDE - 1 && tripped(deadline) {
             return None;
         }
-        let (u, v) = (e.from, e.to);
-        if e.kind.is_register_false_candidate()
-            && u != v
-            && !symbolic.reaches(u, v)
+        if !symbolic.reaches(u, v)
             && !symbolic.reaches(v, u)
             && !machine.pairwise_conflict(own_deps.class(u), own_deps.class(v))
         {

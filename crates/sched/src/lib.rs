@@ -32,7 +32,7 @@ pub mod region;
 mod schedule;
 mod session;
 
-pub use deps::{op_class, DepEdge, DepGraph, DepKind};
+pub use deps::{op_class, DepEdge, DepGraph, DepKind, OutputPairs};
 pub use list::{list_schedule, SchedPriority};
 pub use schedule::{BlockSchedule, SchedError, ScheduleError};
 pub use session::{DeadlineExceeded, SchedSession};

@@ -4,6 +4,8 @@ use crate::deps::DepGraph;
 use crate::schedule::{BlockSchedule, SchedError};
 use parsched_ir::Block;
 use parsched_machine::MachineDesc;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Ready-list priority policy for the list scheduler.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -14,7 +16,10 @@ pub enum SchedPriority {
     /// Original program order — the "no scheduler" control.
     SourceOrder,
     /// Most immediate successors first (fan-out greedy), a common
-    /// alternative from the microcode-compaction literature.
+    /// alternative from the microcode-compaction literature. Counts
+    /// successors in the [`DepGraph`], whose register anti/output edges are
+    /// reduced: on code that reuses registers a def has fewer dependents
+    /// than in the paper's full relation (symbolic code is unaffected).
     FanOut,
 }
 
@@ -53,6 +58,14 @@ pub enum SchedPriority {
 /// advance the clock. The terminator issues in the first cycle ≥ every body
 /// issue that satisfies its data inputs and resources.
 ///
+/// The scheduler is event-driven: an instruction whose last predecessor
+/// issues is *released* into a min-heap keyed by its earliest cycle, joins
+/// the priority-ordered ready list once the clock reaches that cycle, and a
+/// cycle in which nothing is ready jumps straight to the next release.
+/// Instructions released during a pass wait for the next pass, and a cycle
+/// is retried while one of them (a zero-latency successor) can still issue
+/// in it.
+///
 /// Ready-list pressure is reported to `telemetry`: `sched.ready_len`
 /// (gauge, peak ready-list length), `sched.issue_cycles` (scheduler passes
 /// that issued at least one instruction) and `sched.stall_cycles` (cycles
@@ -63,19 +76,9 @@ pub enum SchedPriority {
 /// silently corrupting the evaluation.
 ///
 /// # Errors
-/// Returns [`SchedError::Cycle`] on a cyclic dependence graph and
-/// [`SchedError::Invalid`] if the produced schedule fails validation.
+/// Returns [`SchedError::Invalid`] if the produced schedule fails
+/// validation.
 pub fn list_schedule(
-    block: &Block,
-    deps: &DepGraph,
-    machine: &MachineDesc,
-    priority: SchedPriority,
-    telemetry: &dyn parsched_telemetry::Telemetry,
-) -> Result<BlockSchedule, SchedError> {
-    schedule_impl(block, deps, machine, priority, telemetry)
-}
-
-fn schedule_impl(
     block: &Block,
     deps: &DepGraph,
     machine: &MachineDesc,
@@ -85,18 +88,12 @@ fn schedule_impl(
     let _span = parsched_telemetry::span(telemetry, "sched.list");
     let n = deps.len();
     let heights: Vec<u32> = match priority {
-        SchedPriority::CriticalPath => deps.heights(machine)?,
-        SchedPriority::SourceOrder => {
-            // Any non-DAG input must fail regardless of priority policy, or
-            // the main loop below would spin forever on a dependence cycle.
-            deps.graph().topological_sort()?;
-            (0..n).map(|i| (n - i) as u32).collect()
-        }
-        SchedPriority::FanOut => {
-            deps.graph().topological_sort()?;
-            (0..n).map(|i| deps.graph().out_degree(i) as u32).collect()
-        }
+        SchedPriority::CriticalPath => deps.heights(machine),
+        SchedPriority::SourceOrder => (0..n).map(|i| (n - i) as u32).collect(),
+        SchedPriority::FanOut => (0..n).map(|i| deps.graph().out_degree(i) as u32).collect(),
     };
+    // Issue order within a pass: greatest height first, then body order.
+    let rank = |i: u32| (Reverse(heights[i as usize]), i);
 
     // earliest[i]: lower bound on issue cycle from already-scheduled preds.
     let mut earliest = vec![0u32; n];
@@ -105,53 +102,85 @@ fn schedule_impl(
     let mut remaining = n;
     let mut rt = machine.reservation_table();
     let mut cycle: u32 = 0;
+    // Instructions whose predecessors have all issued, by (earliest, index).
+    let mut released: BinaryHeap<Reverse<(u32, u32)>> = (0..n as u32)
+        .filter(|&i| unscheduled_preds[i as usize] == 0)
+        .map(|i| Reverse((0, i)))
+        .collect();
+    // Released and latency-satisfied, sorted by `rank`.
+    let mut ready: Vec<u32> = Vec::new();
+    let mut arriving: Vec<u32> = Vec::new();
+    let mut merged: Vec<u32> = Vec::new();
+    // Instructions released during the current pass that could still
+    // issue in its cycle (zero-latency successors).
+    let mut same_cycle: Vec<u32> = Vec::new();
 
     let trace = telemetry.enabled();
     while remaining > 0 {
-        // Ready at this cycle: all preds scheduled and latency satisfied.
-        let mut ready: Vec<usize> = (0..n)
-            .filter(|&i| cycles[i] == u32::MAX && unscheduled_preds[i] == 0 && earliest[i] <= cycle)
-            .collect();
-        ready.sort_by_key(|&i| (std::cmp::Reverse(heights[i]), i));
+        while let Some(&Reverse((at, i))) = released.peek() {
+            if at > cycle {
+                break;
+            }
+            released.pop();
+            arriving.push(i);
+        }
+        if !arriving.is_empty() {
+            arriving.sort_unstable_by_key(|&i| rank(i));
+            merge_by(&ready, &arriving, &mut merged, rank);
+            std::mem::swap(&mut ready, &mut merged);
+            arriving.clear();
+        }
         if trace {
             telemetry.gauge("sched.ready_len", ready.len() as u64);
         }
 
         let mut issued_any = false;
-        for i in ready {
-            let class = deps.class(i);
-            if rt.can_issue(machine, class, cycle) {
-                rt.issue(machine, class, cycle);
-                cycles[i] = cycle;
-                remaining -= 1;
-                issued_any = true;
-                for edge in deps.out_edges(i) {
-                    unscheduled_preds[edge.to] -= 1;
-                    let ready_at = cycle + deps.edge_latency(machine, &edge);
-                    earliest[edge.to] = earliest[edge.to].max(ready_at);
+        same_cycle.clear();
+        ready.retain(|&i| {
+            let class = deps.class(i as usize);
+            if !rt.can_issue(machine, class, cycle) {
+                return true;
+            }
+            rt.issue(machine, class, cycle);
+            cycles[i as usize] = cycle;
+            remaining -= 1;
+            issued_any = true;
+            for edge in deps.out_edges(i as usize) {
+                let to = edge.to;
+                unscheduled_preds[to] -= 1;
+                earliest[to] = earliest[to].max(cycle + deps.edge_latency(machine, &edge));
+                if unscheduled_preds[to] == 0 {
+                    released.push(Reverse((earliest[to], to as u32)));
+                    if earliest[to] <= cycle {
+                        same_cycle.push(to as u32);
+                    }
                 }
             }
-        }
-        // Note: zero-latency (anti) successors of instructions issued this
-        // cycle become ready this same cycle only on the next loop pass;
-        // advancing when nothing issued guarantees progress.
+            false
+        });
         if !issued_any {
+            // Nothing issued in a cycle with no bookings yet: with a
+            // non-empty ready list the next cycle frees its units; with an
+            // empty one, nothing changes before the next release.
+            let next = match (ready.is_empty(), released.peek()) {
+                (false, _) => cycle + 1,
+                (true, Some(&Reverse((at, _)))) => at.max(cycle + 1),
+                (true, None) => unreachable!("an acyclic graph always releases a node"),
+            };
             if trace {
-                telemetry.counter("sched.stall_cycles", 1);
+                telemetry.counter("sched.stall_cycles", u64::from(next - cycle));
             }
-            cycle += 1;
+            cycle = next;
         } else {
             if trace {
                 telemetry.counter("sched.issue_cycles", 1);
             }
-            // Retry the same cycle once for newly-ready zero-latency deps;
-            // if nothing more fits, the next iteration's !issued_any advances.
-            let more_ready = (0..n).any(|i| {
-                cycles[i] == u32::MAX
-                    && unscheduled_preds[i] == 0
-                    && earliest[i] <= cycle
-                    && rt.can_issue(machine, deps.class(i), cycle)
-            });
+            // Retry the same cycle for newly-ready zero-latency successors
+            // that still fit; every instruction left in the ready list
+            // already failed to fit this cycle, and bookings only grow.
+            let more_ready = same_cycle
+                .iter()
+                .any(|&i| rt.can_issue(machine, deps.class(i as usize), cycle));
             if !more_ready {
                 cycle += 1;
             }
@@ -160,11 +189,11 @@ fn schedule_impl(
 
     // Terminator placement.
     let term_cycle = block.terminator().map(|term| {
-        let body = block.body();
+        let term_uses = term.uses();
         let mut tc = cycles.iter().copied().max().unwrap_or(0);
-        for (i, inst) in body.iter().enumerate() {
+        for (i, inst) in block.body().iter().enumerate() {
             let defs = inst.defs();
-            if term.uses().iter().any(|u| defs.contains(u)) {
+            if term_uses.iter().any(|u| defs.contains(u)) {
                 tc = tc.max(cycles[i] + machine.latency(deps.class(i)));
             }
         }
@@ -175,6 +204,24 @@ fn schedule_impl(
     Ok(BlockSchedule::new(
         block, deps, machine, cycles, term_cycle,
     )?)
+}
+
+/// Merges the sorted slices `a` and `b` (ordered by `key`, keys distinct)
+/// into `out`.
+fn merge_by<K: Ord>(a: &[u32], b: &[u32], out: &mut Vec<u32>, key: impl Fn(u32) -> K) {
+    out.clear();
+    let (mut x, mut y) = (0, 0);
+    while x < a.len() && y < b.len() {
+        if key(a[x]) < key(b[y]) {
+            out.push(a[x]);
+            x += 1;
+        } else {
+            out.push(b[y]);
+            y += 1;
+        }
+    }
+    out.extend_from_slice(&a[x..]);
+    out.extend_from_slice(&b[y..]);
 }
 
 #[cfg(test)]

@@ -228,12 +228,11 @@ impl fmt::Display for ScheduleError {
 
 impl Error for ScheduleError {}
 
-/// Any failure the scheduling layer can report: a cyclic (malformed)
-/// dependence graph, or a produced schedule that failed validation.
+/// Any failure the scheduling layer can report: a produced schedule that
+/// failed validation. (A [`DepGraph`](crate::DepGraph) is acyclic by
+/// construction, so a schedule always exists.)
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SchedError {
-    /// The dependence graph is not a DAG; no schedule exists.
-    Cycle(parsched_graph::CycleError),
     /// The scheduler produced a cycle assignment that failed validation —
     /// an internal scheduler bug surfaced as a typed error instead of a
     /// panic so one poisoned block cannot take down the process.
@@ -243,7 +242,6 @@ pub enum SchedError {
 impl fmt::Display for SchedError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SchedError::Cycle(e) => write!(f, "dependence graph is cyclic: {e}"),
             SchedError::Invalid(e) => write!(f, "scheduler produced an invalid schedule: {e}"),
         }
     }
@@ -252,15 +250,8 @@ impl fmt::Display for SchedError {
 impl Error for SchedError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
-            SchedError::Cycle(e) => Some(e),
             SchedError::Invalid(e) => Some(e),
         }
-    }
-}
-
-impl From<parsched_graph::CycleError> for SchedError {
-    fn from(e: parsched_graph::CycleError) -> Self {
-        SchedError::Cycle(e)
     }
 }
 
@@ -306,6 +297,33 @@ mod tests {
         let m = presets::paper_machine(8);
         let err = BlockSchedule::new(&b, &g, &m, vec![0, 0], Some(2)).unwrap_err();
         assert!(matches!(err, ScheduleError::DependenceViolated { .. }));
+    }
+
+    #[test]
+    fn far_cycles_validate_in_constant_space() {
+        // A caller may claim any cycle: near u32::MAX the checks still
+        // answer as for small cycles, and the reservation table keeps one
+        // row of counts instead of a row per cycle below the claim.
+        let b = block(
+            r#"
+            func @far(s9) {
+            entry:
+                s0 = load [s9 + 0]
+                s1 = load [s9 + 8]
+                ret s9
+            }
+            "#,
+        );
+        let g = DepGraph::build(&b, &parsched_telemetry::NullTelemetry);
+        let m = presets::paper_machine(8);
+        let far = u32::MAX - 10;
+        let ok = BlockSchedule::new(&b, &g, &m, vec![far, 0], Some(far + 1));
+        assert!(ok.is_ok_and(|s| s.completion_cycles() == far + 2));
+        let both = BlockSchedule::new(&b, &g, &m, vec![far, far], Some(far + 1));
+        assert!(matches!(
+            both,
+            Err(ScheduleError::ResourceOversubscribed { inst: 1, cycle }) if cycle == far
+        ));
     }
 
     #[test]

@@ -85,7 +85,7 @@ fn check_spill_loop(func: &parsched::ir::Function, machine: &MachineDesc, case: 
                 _ => problem.spill_cost(n),
             })
             .collect();
-        let heights = deps.heights(machine).expect("block bodies are acyclic");
+        let heights = deps.heights(machine);
         let priority: Vec<u32> = (0..problem.len())
             .map(|n| problem.def_site(n).map_or(0, |i| heights[i]))
             .collect();
